@@ -36,7 +36,6 @@ from .experiments import (
     statistic_samples,
 )
 from .point_process import sample_binomial, sample_poisson
-from .rng import derive_seed, REPLICATION_STREAM
 
 log = logging.getLogger("softplex")
 

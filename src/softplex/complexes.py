@@ -7,6 +7,15 @@ Clique faces are enumerated dimension by dimension: a (k+1)-tuple is a
 candidate iff its two parent k-tuples sharing a (k-1)-prefix are faces and
 the closing edge exists.
 
+The ball-intersection filter and the ball-flavor constants share one batched
+kernel, `_min_ball_radii`, for the smallest-enclosing-ball radius of a
+(count, m, d) block of tuples.  It enumerates the support subsets of 2 to
+min(m, d + 1) points, solves each subset's circumcentre in its affine hull
+(midpoint for pairs, Cramer's rule for three points, a batched linear solve
+beyond), and keeps per tuple the smallest ball centred at a candidate that
+holds all m points.  Triples use a closed form.  The scalar recursive Welzl
+solver, `min_enclosing_ball`, stays as public API and as the tests' oracle.
+
 Soft thinning is downward closed: each admissible 1-face survives an
 independent p_1 coin; for k >= 2 a face is eligible only when every
 (k-1)-subface survived, and eligible faces survive independent p_k coins.
@@ -19,6 +28,7 @@ monotone in the retention probabilities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import combinations
 
 import numpy as np
 
@@ -111,8 +121,6 @@ def build_rips(graph: GeometricGraph, k_max: int) -> SimplicialComplex:
 
 def rips_bruteforce(cloud: PointCloud, r: float, k_max: int) -> SimplicialComplex:
     """All-subsets admissibility test; quadratic-and-worse reference oracle."""
-    from itertools import combinations
-
     pts = cloud.points
     n = len(cloud)
     faces = [np.arange(n, dtype=np.int64)[:, None]]
@@ -173,12 +181,13 @@ def min_enclosing_ball_radius(points) -> float:
 def _meb_radius_triples(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
     """Vectorized smallest-ball radius for point triples in any dimension.
 
-    The ball is either the diameter ball of the longest side (obtuse or
-    degenerate triangles) or the circumball (acute triangles).
+    Each argument holds one vertex of every triple as (d, count) coordinate
+    planes.  The ball is either the diameter ball of the longest side (obtuse
+    or degenerate triangles) or the circumball (acute triangles).
     """
-    a2 = np.einsum("ij,ij->i", p1 - p2, p1 - p2)
-    b2 = np.einsum("ij,ij->i", p0 - p2, p0 - p2)
-    c2 = np.einsum("ij,ij->i", p0 - p1, p0 - p1)
+    a2 = np.einsum("kc,kc->c", p1 - p2, p1 - p2)
+    b2 = np.einsum("kc,kc->c", p0 - p2, p0 - p2)
+    c2 = np.einsum("kc,kc->c", p0 - p1, p0 - p1)
     hi = np.maximum(np.maximum(a2, b2), c2)
     obtuse = hi * 2.0 >= a2 + b2 + c2  # longest side squared >= sum of others
     sixteen_area2 = np.maximum(
@@ -190,16 +199,61 @@ def _meb_radius_triples(p0: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.nd
     return np.sqrt(radius2)
 
 
-def _ball_admissible(points: np.ndarray, faces: np.ndarray, half_r: float) -> np.ndarray:
-    width = faces.shape[1]
-    if width == 3:
-        sub = points[faces]
-        radii = _meb_radius_triples(sub[:, 0], sub[:, 1], sub[:, 2])
-        return radii <= half_r
-    keep = np.empty(faces.shape[0], dtype=bool)
-    for row in range(faces.shape[0]):
-        keep[row] = min_enclosing_ball_radius(points[faces[row]]) <= half_r
-    return keep
+def _circumcentres(support: np.ndarray) -> np.ndarray:
+    """Centres of the smallest balls with all s support points on their boundary.
+
+    `support` is an (s, d, count) block.  The centre is
+    p_0 + sum_i lam_i (p_i - p_0) with G lam = diag(G) / 2, G the Gram matrix
+    of the p_i - p_0.  Columns whose G is singular come back non-finite.
+    """
+    base = support[0]
+    rel = support[1:] - base
+    if rel.shape[0] == 1:
+        return base + 0.5 * rel[0]
+    gram = np.einsum("skc,tkc->stc", rel, rel)
+    half = 0.5 * np.einsum("ssc->sc", gram)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if rel.shape[0] == 2:  # Cramer's rule
+            g00, g01, g11 = gram[0, 0], gram[0, 1], gram[1, 1]
+            det = g00 * g11 - g01 * g01
+            return (base + (half[0] * g11 - half[1] * g01) / det * rel[0]
+                    + (half[1] * g00 - half[0] * g01) / det * rel[1])
+        gram = np.moveaxis(gram, 2, 0)
+        singular = ~(np.abs(np.linalg.det(gram)) > 0.0)
+        gram[singular] = np.eye(rel.shape[0])
+        lam = np.linalg.solve(gram, half.T[:, :, None])[:, :, 0]
+        lam[singular] = np.nan
+        return base + np.einsum("cs,skc->kc", lam, rel)
+
+
+def _min_ball_radii(tuples: np.ndarray) -> np.ndarray:
+    """Smallest-enclosing-ball radius of every tuple in a (count, m, d) block.
+
+    The smallest ball is the circumball, within the affine hull, of an
+    affinely independent support subset of at most d + 1 points (Welzl 1991;
+    Gaertner 1999).  Each subset of 2..min(m, d + 1) points proposes its
+    circumcentre c, and c proposes the smallest ball centred there that holds
+    all m points.  Every proposal encloses the tuple and the support's
+    proposal is the smallest ball itself, so the minimum over proposals is the
+    radius.  Subsets with a singular Gram matrix propose nothing: a pair's
+    diameter ball covers them.  Width 3 uses the closed form for triples.
+    """
+    count, m, d = tuples.shape
+    if m == 1:
+        return np.zeros(count)
+    # (m, d, count): every coordinate of every point is one contiguous row;
+    # no copy when the block is a transposed view of such planes
+    planes = np.ascontiguousarray(tuples.transpose(1, 2, 0))
+    if m == 3:
+        return _meb_radius_triples(*planes)
+    best = np.full(count, np.inf)
+    for size in range(2, min(m, d + 1) + 1):
+        for support in combinations(range(m), size):
+            gap = planes - _circumcentres(planes[list(support)])
+            with np.errstate(invalid="ignore", over="ignore"):
+                reach = np.einsum("mkc,mkc->mc", gap, gap).max(axis=0)
+            np.fmin(best, reach, out=best)  # NaN from a singular subset loses
+    return np.sqrt(best)
 
 
 def build_cech(cloud: PointCloud, r: float, k_max: int) -> SimplicialComplex:
@@ -214,7 +268,7 @@ def build_cech(cloud: PointCloud, r: float, k_max: int) -> SimplicialComplex:
     faces = list(rips.faces_by_dim)
     for dim in range(2, len(faces)):
         if faces[dim].shape[0]:
-            faces[dim] = faces[dim][_ball_admissible(cloud.points, faces[dim], r / 2.0)]
+            faces[dim] = faces[dim][_min_ball_radii(cloud.points[faces[dim]]) <= r / 2.0]
     return SimplicialComplex(cloud=cloud, faces_by_dim=tuple(faces), flavor="cech", r=float(r))
 
 

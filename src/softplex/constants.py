@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .complexes import _meb_radius_triples, min_enclosing_ball_radius
+from .complexes import _min_ball_radii
 from .densities import Density
 from .errors import ConfigurationError, InputError
 from .geometry import ALL_SPACE, RegionSpec, region_mask
@@ -146,32 +146,23 @@ def _clique_indicator(origin_block: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _ball_indicator(origin_block: np.ndarray) -> np.ndarray:
-    """Smallest ball enclosing {0, x_1, ..., x_m} has radius at most 1/2."""
-    count, m, d = origin_block.shape
-    zeros = np.zeros((count, d))
-    if m == 0:
-        return np.ones(count, dtype=bool)
-    if m == 1:
-        sq = np.einsum("ij,ij->i", origin_block[:, 0], origin_block[:, 0])
-        return sq <= 1.0
-    if m == 2:
-        radii = _meb_radius_triples(zeros, origin_block[:, 0], origin_block[:, 1])
-        return radii <= 0.5
-    out = np.empty(count, dtype=bool)
-    pts = np.concatenate([zeros[:, None, :], origin_block], axis=1)
-    for row in range(count):
-        out[row] = min_enclosing_ball_radius(pts[row]) <= 0.5
-    return out
+def _ball_indicator(block: np.ndarray, columns: list[int]) -> np.ndarray:
+    """Smallest ball enclosing the origin and block[:, columns] has radius at most 1/2."""
+    count, _, d = block.shape
+    # (m, d, count) planes, the kernel's working layout, filled point by
+    # point: a fancy-indexed copy of the block would add to peak memory
+    planes = np.zeros((len(columns) + 1, d, count))
+    for slot, column in enumerate(columns, start=1):
+        planes[slot] = block[:, column].T
+    return _min_ball_radii(planes.transpose(2, 0, 1)) <= 0.5
 
 
 def _tuple_indicator(block: np.ndarray, members: list[int], flavor: str) -> np.ndarray:
     """Admissibility of the sub-tuple at the given member indices (0 = origin)."""
-    inner = [idx - 1 for idx in members if idx != 0]
-    sub = block[:, inner]
-    if 0 in members:
-        return _clique_indicator(sub) if flavor == "rips" else _ball_indicator(sub)
-    raise InputError("sub-tuples are expected to contain the origin")
+    columns = [idx - 1 for idx in members if idx != 0]
+    if flavor == "rips":
+        return _clique_indicator(block[:, columns])
+    return _ball_indicator(block, columns)
 
 
 def _inner_factor(inner_points: int, d: int, member_lists: list[list[int]], flavor: str,

@@ -215,11 +215,19 @@ def test_criterion_08a_high_faces_vanish(vanish_run):
            f"f2=0 in {zero_fraction:.2%} of replications (need >= 99%)")
 
 
+def vanish_detail(config: ExperimentConfig) -> str:
+    """regime_check's vanish flag and quantity, printed but not gated on."""
+    gate = regime_check(config.n, config.radius, config.d, config.retention, ("chi", 1))
+    return (f"vanish_ok={gate.flags['vanish_ok']}, "
+            f"vanish_l2={gate.quantities['vanish_l2']:.3g}")
+
+
 def test_criterion_08b_chi_variance_tracks_vertex_count(chi_run):
     config, results = chi_run
     ratio = variance_ratio_report(results, config)["var_chi_over_var_f0"]
     ok = 0.9 <= ratio <= 1.1
-    record("08b", ok, f"var(chi)/var(f0) = {ratio:.3f} (band [0.9, 1.1])")
+    record("08b", ok, f"var(chi)/var(f0) = {ratio:.3f} (band [0.9, 1.1]); "
+                      f"{vanish_detail(config)}")
 
 
 def test_criterion_08c_chi_normality(chi_run):
@@ -228,7 +236,7 @@ def test_criterion_08c_chi_normality(chi_run):
     dist = ks_statistic(z)
     threshold = 1.63 / math.sqrt(config.replications) * 1.5
     ok = dist < threshold
-    record("08c", ok, f"KS={dist:.4f} < {threshold:.4f}")
+    record("08c", ok, f"KS={dist:.4f} < {threshold:.4f}; {vanish_detail(config)}")
 
 
 # --- criterion 9: variance-ratio trends -------------------------------------

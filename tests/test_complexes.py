@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softplex import (
     ConfigurationError,
@@ -22,6 +23,7 @@ from softplex import (
     sample_binomial,
     soft_thin,
 )
+from softplex.complexes import _min_ball_radii
 
 UNIT_1D = UniformBox(lo=[0.0], hi=[1.0])
 UNIT_2D = UniformBox(lo=[0.0, 0.0], hi=[1.0, 1.0])
@@ -93,6 +95,54 @@ def test_min_enclosing_ball_obtuse_triangle():
     assert min_enclosing_ball_radius(pts) == pytest.approx(2.0, abs=1e-12)
 
 
+# Coordinates on a dyadic grid in [-1, 1]: exact, free of underflow, and
+# shrinking towards ties.
+GRID = st.integers(-(2**20), 2**20).map(lambda k: k / 2**20)
+
+
+@st.composite
+def ball_blocks(draw):
+    """A (count, m, d) block of one kind: random, tied, collinear, cospherical
+    or with duplicated points."""
+    m, d, count = draw(st.integers(2, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["random", "ties", "collinear", "cospherical", "duplicated"]))
+
+    def grid(*shape, values=GRID):
+        flat = draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.asarray(flat, dtype=np.float64).reshape(shape)
+
+    if kind == "random":
+        return grid(count, m, d)
+    if kind == "ties":
+        return grid(count, m, d, values=st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0]))
+    if kind == "collinear":
+        return grid(count, 1, d) + grid(count, m, 1) * grid(count, 1, d)
+    if kind == "cospherical":
+        directions = grid(count, m, d)
+        norms = np.linalg.norm(directions, axis=2, keepdims=True)
+        directions = np.where(norms > 1e-3, directions / np.maximum(norms, 1e-3), np.eye(d)[0])
+        return grid(count, 1, d) + np.abs(grid(count, 1, 1)) * directions
+    distinct = grid(count, m, d)
+    picks = grid(count, m, values=st.integers(0, draw(st.integers(0, m - 1)))).astype(int)
+    return distinct[np.arange(count)[:, None], picks]
+
+
+@settings(max_examples=500)
+@given(block=ball_blocks(), scale=st.floats(0.5, 1.5))
+def test_min_ball_radii_match_welzl(block, scale):
+    fast = _min_ball_radii(block)
+    for tuple_, radius in zip(block, fast):
+        oracle = min_enclosing_ball_radius(tuple_)
+        # neither solver resolves a radius finer than the rounding of the
+        # coordinates, hence the absolute floor for tiny balls far from 0
+        floor = 1e-12 * np.abs(tuple_).max()
+        assert math.isclose(radius, oracle, rel_tol=1e-9, abs_tol=floor)
+        # the admissibility decision agrees away from 1e-12-relative ties
+        half_r = oracle * scale
+        if abs(oracle - half_r) > 1e-12 * half_r + floor:
+            assert (radius <= half_r) == (oracle <= half_r)
+
+
 def test_cech_equilateral_scale():
     # circumradius 0.577 > 0.5 excludes the 2-face at r=1, admits it at r=1.2
     assert build_rips(build_graph(EQUILATERAL, 1.0), 2).face_vector() == (3, 3, 1)
@@ -128,17 +178,18 @@ def test_cech_equals_rips_in_dimension_one():
 
 
 def test_cech_bruteforce_cross_check_d2():
-    # oracle: every subset tested directly by the enclosing-ball radius
-    cloud = sample_binomial(18, UNIT_2D, seed=9)
-    r = 0.5
-    cech = build_cech(cloud, r, 3)
-    for dim in range(1, 4):
-        expected = [
-            combo
-            for combo in itertools.combinations(range(len(cloud)), dim + 1)
-            if min_enclosing_ball_radius(cloud.points[list(combo)]) <= r / 2.0
-        ]
-        assert cech.faces_by_dim[dim].tolist() == [list(c) for c in expected]
+    # oracle: every subset tested directly by the enclosing-ball radius; d=3
+    # with k_max=4 reaches the batched solve for 4-point supports
+    for d, n, r, k_max in ((2, 18, 0.5, 3), (3, 16, 0.7, 4)):
+        cloud = sample_binomial(n, UniformBox(lo=[0.0] * d, hi=[1.0] * d), seed=9)
+        cech = build_cech(cloud, r, k_max)
+        for dim in range(1, k_max + 1):
+            expected = [
+                combo
+                for combo in itertools.combinations(range(len(cloud)), dim + 1)
+                if min_enclosing_ball_radius(cloud.points[list(combo)]) <= r / 2.0
+            ]
+            assert cech.faces_by_dim[dim].tolist() == [list(c) for c in expected]
 
 
 def test_soft_thin_all_ones_is_identity():
