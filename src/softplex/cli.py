@@ -127,11 +127,11 @@ def _cmd_build(args) -> int:
         "seed": args.seed,
     }
     if args.model == "rips":
-        complex_ = build_rips(build_graph(cloud, args.r, seed=args.seed), args.kmax)
+        complex_ = build_rips(build_graph(cloud, args.r), args.kmax, args.rho, args.seed)
     else:
         complex_ = build_cech(cloud, args.r, args.kmax)
-    if args.rho is not None:
-        complex_ = soft_thin(complex_, args.rho, args.seed)
+        if args.rho is not None:
+            complex_ = soft_thin(complex_, args.rho, args.seed)
     edges = complex_.faces_by_dim[1] if args.kmax >= 1 else np.empty((0, 2), np.int64)
     _write_csv(f"{args.out}.edges.csv", ["i", "j"], edges.tolist(), payload)
     for dim, faces in enumerate(complex_.faces_by_dim):

@@ -5,7 +5,18 @@ dimension k are the (k+1)-cliques), and its ball-intersection variant whose
 k-faces are (k+1)-tuples with smallest enclosing ball radius at most r/2.
 Clique faces are enumerated dimension by dimension: a (k+1)-tuple is a
 candidate iff its two parent k-tuples sharing a (k-1)-prefix are faces and
-the closing edge exists.
+the closing edge exists.  In a lex-sorted table the prefix groups are
+contiguous and sorted and the last vertices increase inside a group, so the
+join emits its rows in lex order without a sort; every face table here is
+lex-sorted.
+
+Faces are looked up by int64 row codes.  A k-face's code is (row index of
+its first k vertices among the (k-1)-faces) * n + its last vertex, and a
+vertex is its own index.  The codes of a lex-sorted table increase with the
+row, so a `searchsorted` per vertex finds a tuple and its row, and a
+code stays below (number of (k-1)-faces) * n; a mixed-radix code n^(k+1)
+would overflow int64 at n = 250k and k = 3.  The join's subface check, the
+eligibility test of `soft_thin` and `downward_closed` share this lookup.
 
 The ball-intersection filter and the ball-flavor constants share one batched
 kernel, `_min_ball_radii`, for the smallest-enclosing-ball radius of a
@@ -22,7 +33,12 @@ independent p_1 coin; for k >= 2 a face is eligible only when every
 A fixed admissible k-face therefore survives with marginal probability
 prod_{i=1..k} p_i^C(k+1, i+1), which the tests enforce.  Coins are hashed
 from (seed, dimension, vertex tuple), so thinnings with the same seed are
-monotone in the retention probabilities.
+monotone in the retention probabilities.  `build_rips(graph, k_max, rho,
+seed)` thins as it builds: it joins dimension k + 1 from the surviving
+k-faces only, keeps the candidates whose other k-subfaces survived too, and
+skips the coins of a dimension whose p is 1, which keeps every face since
+coins lie in [0, 1).  `soft_thin` draws the same coins on a finished complex;
+the Cech path uses it, and the tests use it as the oracle of the fused path.
 """
 
 from __future__ import annotations
@@ -70,53 +86,117 @@ class SimplicialComplex:
         return tuple(arr.shape[0] for arr in self.faces_by_dim)
 
 
-def _lexsorted_rows(arr: np.ndarray) -> np.ndarray:
-    if arr.shape[0] <= 1:
-        return arr
-    order = np.lexsort(arr.T[::-1])
-    return arr[order]
+def _retention(rho, top: int) -> tuple:
+    """The retention vector as floats, checked against the top dimension it thins."""
+    rho = tuple(float(p) for p in np.asarray(rho, dtype=np.float64).ravel())
+    if len(rho) < top:
+        raise ConfigurationError(
+            f"retention vector of length {len(rho)} cannot thin faces up to dimension {top}"
+        )
+    if any(not 0.0 <= p <= 1.0 for p in rho):
+        raise ConfigurationError("retention probabilities must lie in [0, 1]")
+    return rho
 
 
-def _clique_join(prev_faces: np.ndarray, edge_codes: np.ndarray, n: int) -> np.ndarray:
-    """(t+1)-cliques from lex-sorted t-cliques plus a sorted edge-code table."""
+def _find(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each key is in a sorted int64 table, and its insertion index."""
+    index = np.searchsorted(table, keys)
+    if table.size == 0:
+        return np.zeros(keys.shape, dtype=bool), index
+    return table.take(index, mode="clip") == keys, index
+
+
+def _locate(codes: list, planes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each query j-face is in a chain of face tables, and its rank there.
+
+    ``planes[i]`` holds vertex i of every query, so ``rows.T`` queries the
+    rows of a face table.  ``codes[i]`` holds the sorted row codes of the
+    i-face table for i >= 1.  An i-face's code is (rank of its first i
+    vertices among the (i-1)-faces) * n + its last vertex, and a vertex is its
+    own rank.  In a lex-sorted table whose prefixes are all faces the codes
+    increase with the row, so a rank is a row index and every code stays
+    below (count of (i-1)-faces) * n.
+    """
+    found = np.ones(planes.shape[1:], dtype=bool)
+    rank = planes[0]
+    for i in range(1, len(planes)):
+        hit, rank = _find(codes[i], rank * n + planes[i])
+        found &= hit
+    return found, rank
+
+
+def _subfaces(faces: np.ndarray, drops) -> np.ndarray:
+    """Vertex planes (k, len(drops), m) of the k-faces' subfaces without one column.
+
+    Plane-major order keeps each dropped column's queries in table order, which
+    keeps the lookups' binary searches cache friendly.
+    """
+    width = faces.shape[1]
+    keep = [[c for c in range(width) if c != drop] for drop in drops]
+    return faces.T[np.array(keep, dtype=np.intp).T]
+
+
+def _clique_join(prev_faces: np.ndarray, codes: list, n: int, complete: bool):
+    """(t+1)-faces joined from lex-sorted t-faces, and each one's prefix rank.
+
+    ``codes`` holds the row codes of the faces up to dimension t.  Two
+    t-faces sharing their first t vertices give a candidate when the edge
+    between their last vertices is in ``codes[1]``.  Unless ``complete`` says
+    the t-faces are every (t+1)-clique of those edges, the candidate must also
+    find its other t - 1 subfaces among the t-faces.  Prefix groups are
+    contiguous and sorted and last vertices increase inside a group, so pair
+    order is lex order and the rows come out lex-sorted.
+    """
     m, width = prev_faces.shape
     if m < 2:
-        return _empty_faces(width)
-    prefix = prev_faces[:, :-1]
-    change = np.flatnonzero(np.any(prefix[1:] != prefix[:-1], axis=1)) + 1
-    starts = np.concatenate([[0], change]).astype(np.int64)
-    sizes = np.diff(np.concatenate([starts, [m]])).astype(np.int64)
+        return _empty_faces(width), np.empty(0, dtype=np.int64)
+    starts, sizes, _ = group_boundaries(codes[width - 1] // n)
     li, ri = pairs_within_groups(starts, sizes)
-    if li.size == 0:
-        return _empty_faces(width)
     u = prev_faces[li, -1]
     v = prev_faces[ri, -1]
-    closing = np.searchsorted(edge_codes, u * n + v)
-    closing = np.minimum(closing, edge_codes.size - 1)
-    ok = edge_codes[closing] == u * n + v if edge_codes.size else np.zeros(li.size, bool)
-    if not ok.any():
-        return _empty_faces(width)
-    out = np.empty((int(ok.sum()), width + 1), dtype=np.int64)
-    out[:, :-2] = prev_faces[li[ok], :-1]
-    out[:, -2] = u[ok]
+    ok = _find(codes[1], u * n + v)[0]
+    li = li[ok]
+    out = np.empty((li.size, width + 1), dtype=np.int64)
+    out[:, :-1] = prev_faces[li]
     out[:, -1] = v[ok]
-    return _lexsorted_rows(out)
+    if not complete:
+        ok = _locate(codes, _subfaces(out, range(width - 1)), n)[0].all(axis=0)
+        out, li = out[ok], li[ok]
+    return out, li
 
 
-def build_rips(graph: GeometricGraph, k_max: int) -> SimplicialComplex:
-    """Clique complex of the graph up to dimension k_max."""
+def build_rips(graph: GeometricGraph, k_max: int, rho=None, seed: int = 0) -> SimplicialComplex:
+    """Clique complex of the graph up to dimension k_max, thinned as it is built.
+
+    With a retention vector ``rho`` (one probability per dimension 1..k_max),
+    a k-face survives when all its (k-1)-subfaces survived and its coin,
+    ``uniform_coins(derive_seed(seed, FACE_COIN_STREAM, k), faces)``, is below
+    ``rho[k-1]``; dimension k + 1 is joined from the surviving k-faces only.
+    The result equals ``soft_thin(build_rips(graph, k_max), rho, seed)`` row
+    for row.  Without ``rho`` the complex is the hard clique complex.
+    """
     if k_max < 0:
         raise InputError(f"k_max must be nonnegative, got {k_max}")
+    if rho is not None:
+        rho = _retention(rho, k_max)
     n = graph.vertex_count
     faces = [np.arange(n, dtype=np.int64)[:, None]]
-    if k_max >= 1:
-        faces.append(graph.edges)
-    edge_codes = np.sort(graph.edges[:, 0] * n + graph.edges[:, 1]) if n else np.empty(0, np.int64)
-    for dim in range(2, k_max + 1):
-        faces.append(_clique_join(faces[dim - 1], edge_codes, n))
-    return SimplicialComplex(
-        cloud=graph.cloud, faces_by_dim=tuple(faces), flavor="rips", r=graph.r, seed=graph.seed
-    )
+    codes = [None]  # a vertex is its own rank
+    complete = True  # no coin has removed a face of dimension >= 2
+    for dim in range(1, k_max + 1):
+        if dim == 1:
+            rows, prefix = graph.edges, graph.edges[:, 0]
+        else:
+            rows, prefix = _clique_join(faces[-1], codes, n, complete)
+        if rho is not None and rho[dim - 1] < 1.0 and rows.shape[0]:
+            keep = uniform_coins(derive_seed(seed, FACE_COIN_STREAM, dim), rows) < rho[dim - 1]
+            if dim >= 2 and not keep.all():
+                complete = False
+            rows, prefix = rows[keep], prefix[keep]
+        faces.append(rows)
+        codes.append(prefix * n + rows[:, -1])
+    return SimplicialComplex(cloud=graph.cloud, faces_by_dim=tuple(faces), flavor="rips",
+                             r=graph.r, rho=rho, seed=int(seed))
 
 
 def rips_bruteforce(cloud: PointCloud, r: float, k_max: int) -> SimplicialComplex:
@@ -143,10 +223,11 @@ def _circumball(support: list[np.ndarray]) -> tuple[np.ndarray, float]:
     rel = np.asarray(support[1:]) - base
     rhs = 0.5 * np.einsum("ij,ij->i", rel, rel)
     shift, *_ = np.linalg.lstsq(rel, rhs, rcond=None)
-    center = base + shift
-    radius = float(np.sqrt(max(np.einsum("ij,ij->i", np.asarray(support) - center,
-                                         np.asarray(support) - center).max(), 0.0)))
-    return center, radius
+    # distances in base-relative coordinates: absolute ones would round a
+    # small ball far from the origin at the scale of its position
+    gap = rel - shift
+    radius = float(np.sqrt(max(shift @ shift, np.einsum("ij,ij->i", gap, gap).max())))
+    return base + shift, radius
 
 
 def _welzl(points: list[np.ndarray], support: list[np.ndarray], d: int):
@@ -276,42 +357,25 @@ def soft_thin(complex_: SimplicialComplex, rho, seed: int) -> SimplicialComplex:
     """Downward-closed thinning of an untouched complex by the vector rho."""
     if complex_.rho is not None:
         raise ConfigurationError("complex already carries a retention vector")
-    rho = tuple(float(p) for p in np.asarray(rho, dtype=np.float64).ravel())
     top = complex_.k_max
-    if len(rho) < top:
-        raise ConfigurationError(
-            f"retention vector of length {len(rho)} cannot thin faces up to dimension {top}"
-        )
-    if any(not 0.0 <= p <= 1.0 for p in rho):
-        raise ConfigurationError("retention probabilities must lie in [0, 1]")
+    rho = _retention(rho, top)
     if all(p == 1.0 for p in rho[:top]):
         return replace(complex_, rho=rho, seed=int(seed))
 
+    n = len(complex_.cloud)
     kept = [complex_.faces_by_dim[0]]
+    codes = [None]  # a vertex is its own rank
     for dim in range(1, top + 1):
-        admissible = complex_.faces_by_dim[dim]
-        if admissible.shape[0] == 0:
-            kept.append(admissible)
-            continue
-        if dim == 1 or kept[dim - 1].shape[0] == complex_.faces_by_dim[dim - 1].shape[0]:
-            eligible = admissible
-        else:
-            survivors = set(map(tuple, kept[dim - 1].tolist()))
-            rows = admissible.tolist()
-            mask = np.fromiter(
-                (
-                    all(tuple(row[:c] + row[c + 1:]) in survivors for c in range(dim + 1))
-                    for row in rows
-                ),
-                dtype=bool,
-                count=len(rows),
-            )
-            eligible = admissible[mask]
-        if eligible.shape[0] == 0:
-            kept.append(eligible)
-            continue
-        coins = uniform_coins(derive_seed(seed, FACE_COIN_STREAM, dim), eligible)
-        kept.append(eligible[coins < rho[dim - 1]])
+        rows = complex_.faces_by_dim[dim]
+        if kept[dim - 1].shape[0] < complex_.faces_by_dim[dim - 1].shape[0]:
+            # a thinned lower table: look every subface up among the survivors
+            for lower in kept[len(codes):dim]:
+                codes.append(_locate(codes, lower[:, :-1].T, n)[1] * n + lower[:, -1])
+            rows = rows[_locate(codes, _subfaces(rows, range(dim + 1)), n)[0].all(axis=0)]
+        if rho[dim - 1] < 1.0 and rows.shape[0]:
+            keep = uniform_coins(derive_seed(seed, FACE_COIN_STREAM, dim), rows) < rho[dim - 1]
+            rows = rows[keep]
+        kept.append(rows)
     return replace(complex_, faces_by_dim=tuple(kept), rho=rho, seed=int(seed))
 
 
@@ -354,13 +418,15 @@ def euler_characteristic(counts: FaceCounts) -> int:
 
 def downward_closed(complex_: SimplicialComplex) -> bool:
     """Check that every k-face has all of its (k-1)-subfaces present."""
+    n = len(complex_.cloud)
+    codes = [None]  # a vertex is its own rank
     for dim in range(1, complex_.k_max + 1):
         faces = complex_.faces_by_dim[dim]
-        if faces.shape[0] == 0:
-            continue
-        lower = set(map(tuple, complex_.faces_by_dim[dim - 1].tolist()))
-        for row in faces.tolist():
-            for drop in range(dim + 1):
-                if tuple(row[:drop] + row[drop + 1:]) not in lower:
-                    return False
+        subfaces = _subfaces(faces, range(dim + 1))
+        present, rank = _locate(codes, subfaces, n)
+        if dim == 1:
+            present = _find(np.sort(complex_.faces_by_dim[0][:, 0]), subfaces[0])[0]
+        if not present.all():
+            return False
+        codes.append(np.sort(rank[-1] * n + faces[:, -1]))  # the last subface is the prefix
     return True

@@ -219,10 +219,9 @@ def replicate_once(config: ExperimentConfig, index: int) -> ReplicationResult:
         cloud = sample_poisson(config.n, config.density, seed)
     r = config.radius
     if config.model == "rips":
-        complex_ = build_rips(build_graph(cloud, r, seed=seed), config.k_max)
+        complex_ = build_rips(build_graph(cloud, r), config.k_max, config.retention, seed)
     else:
-        complex_ = build_cech(cloud, r, config.k_max)
-    complex_ = soft_thin(complex_, config.retention, seed)
+        complex_ = soft_thin(build_cech(cloud, r, config.k_max), config.retention, seed)
     counts = face_counts(complex_, config.region)
     return ReplicationResult(
         index=index,

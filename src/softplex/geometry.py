@@ -18,7 +18,6 @@ from scipy.spatial.distance import cdist
 from ._grouping import group_boundaries, pairs_across_groups, pairs_within_groups
 from .errors import ConfigurationError, InputError
 from .point_process import PointCloud
-from .rng import EDGE_COIN_STREAM, derive_seed, uniform_coins
 
 _NO_EDGES = np.empty((0, 2), dtype=np.int64)
 
@@ -28,8 +27,6 @@ class GeometricGraph:
     cloud: PointCloud
     r: float
     edges: np.ndarray = field(repr=False)  # (m, 2) int64, i < j, lex-sorted
-    edge_retention: float | None = None
-    seed: int = 0
 
     def __post_init__(self):
         edges = np.ascontiguousarray(self.edges, dtype=np.int64)
@@ -120,19 +117,17 @@ def threshold_pairs_grid(points: np.ndarray, r: float) -> np.ndarray:
     return _sort_pairs(cand_i[close], cand_j[close])
 
 
-def build_graph(
-    cloud: PointCloud, r: float, p1: float | None = None, seed: int = 0
-) -> GeometricGraph:
-    """Threshold graph on the cloud; optional independent edge retention p1."""
+def build_graph(cloud: PointCloud, r: float, *, seed: int | None = None) -> GeometricGraph:
+    """Threshold graph on the cloud.
+
+    The graph draws no randomness; retention coins, the edges' among them,
+    belong to ``build_rips`` and ``soft_thin``.  ``seed`` is accepted and
+    ignored, for callers that still pass one.
+    """
     if not r > 0:
         raise InputError(f"threshold radius must be positive, got {r}")
-    if p1 is not None and not 0.0 <= p1 <= 1.0:
-        raise InputError(f"edge retention probability must lie in [0, 1], got {p1}")
     edges = threshold_pairs_grid(cloud.points, float(r))
-    if p1 is not None and edges.shape[0] > 0:
-        coins = uniform_coins(derive_seed(seed, EDGE_COIN_STREAM), edges)
-        edges = edges[coins < p1]
-    return GeometricGraph(cloud=cloud, r=float(r), edges=edges, edge_retention=p1, seed=int(seed))
+    return GeometricGraph(cloud=cloud, r=float(r), edges=edges)
 
 
 def leftmost_point(vertex_indices, cloud: PointCloud) -> int:

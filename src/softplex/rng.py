@@ -19,10 +19,11 @@ _MULT1 = 0xBF58476D1CE4E5B9
 _MULT2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
 
-# stream tags, kept distinct so sub-streams of one seed never collide
+# stream tags, kept distinct so sub-streams of one seed never collide; tag 3
+# drew the retired graph-level edge coins and stays unused, so that reusing it
+# cannot alias an old stream
 POINT_STREAM = 1
 COUNT_STREAM = 2
-EDGE_COIN_STREAM = 3
 FACE_COIN_STREAM = 4
 REPLICATION_STREAM = 5
 MC_OUTER_STREAM = 6
@@ -61,10 +62,18 @@ def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
     return z[:count]
 
 
+_U30, _U27, _U31, _U11 = (np.uint64(shift) for shift in (30, 27, 31, 11))
+_UMULT1, _UMULT2, _UGOLDEN = np.uint64(_MULT1), np.uint64(_MULT2), np.uint64(_GOLDEN)
+
+
 def _vector_mix(h: np.ndarray) -> np.ndarray:
-    h = (h ^ (h >> np.uint64(30))) * np.uint64(_MULT1)
-    h = (h ^ (h >> np.uint64(27))) * np.uint64(_MULT2)
-    return h ^ (h >> np.uint64(31))
+    """splitmix64 finalizer, in place: callers pass an array they own."""
+    h ^= h >> _U30
+    h *= _UMULT1
+    h ^= h >> _U27
+    h *= _UMULT2
+    h ^= h >> _U31
+    return h
 
 
 def uniform_coins(seed: int, items: np.ndarray) -> np.ndarray:
@@ -77,7 +86,6 @@ def uniform_coins(seed: int, items: np.ndarray) -> np.ndarray:
     if items.ndim == 1:
         items = items[:, None]
     h = np.full(items.shape[0], derive_seed(seed), dtype=np.uint64)
-    golden = np.uint64(_GOLDEN)
     for col in range(items.shape[1]):
-        h = _vector_mix(h + golden + _vector_mix(items[:, col].astype(np.uint64)))
-    return (h >> np.uint64(11)).astype(np.float64) * _INV_2_53
+        h = _vector_mix(h + _UGOLDEN + _vector_mix(items[:, col].astype(np.uint64)))
+    return (h >> _U11).astype(np.float64) * _INV_2_53

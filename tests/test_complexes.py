@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from softplex import (
     soft_thin,
 )
 from softplex.complexes import _min_ball_radii
+from softplex.rng import FACE_COIN_STREAM, derive_seed, uniform_coins
 
 UNIT_1D = UniformBox(lo=[0.0], hi=[1.0])
 UNIT_2D = UniformBox(lo=[0.0, 0.0], hi=[1.0, 1.0])
@@ -68,6 +70,16 @@ def test_rips_downward_closed():
     cloud = sample_binomial(80, UNIT_2D, seed=5)
     cx = build_rips(build_graph(cloud, 0.25), 4)
     assert downward_closed(cx)
+    # one tetrahedron: removing any of its four triangles breaks closure,
+    # whichever vertex the missing triangle lacks
+    corners = cloud_from([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    tetra = build_rips(build_graph(corners, 2.0), 3)
+    assert tetra.face_vector() == (4, 6, 4, 1) and downward_closed(tetra)
+    for drop in range(4):
+        triangles = tetra.faces_by_dim[2]
+        kept = triangles[~np.all(triangles == np.delete([0, 1, 2, 3], drop), axis=1)]
+        faces = (*tetra.faces_by_dim[:2], kept, tetra.faces_by_dim[3])
+        assert not downward_closed(replace(tetra, faces_by_dim=faces))
 
 
 def test_min_enclosing_ball_examples():
@@ -87,6 +99,15 @@ def test_min_enclosing_ball_contains_points():
         center, radius = min_enclosing_ball(pts)
         dists = np.linalg.norm(pts - center, axis=1)
         assert np.all(dists <= radius + 1e-9)
+
+
+def test_min_enclosing_ball_small_ball_far_from_origin():
+    # two coincident points and a third 1.06e-9 away, at coordinates near
+    # 7.8e-3: the radius must not be rounded at the scale of the coordinates
+    a = np.array([1.9073486e-06, 7.8125e-03])
+    b = a + np.array([0.0, 1.06e-9])
+    exact = 0.5 * float(np.linalg.norm(b - a))
+    assert min_enclosing_ball_radius([a, a, b]) == pytest.approx(exact, rel=1e-12, abs=0.0)
 
 
 def test_min_enclosing_ball_obtuse_triangle():
@@ -227,6 +248,80 @@ def test_soft_thin_rejects_short_rho_and_double_thinning():
         soft_thin(thinned, (0.5, 0.5, 0.5), seed=2)
     with pytest.raises(ConfigurationError):
         soft_thin(cx, (0.5, 0.5, 1.5), seed=1)
+
+
+def test_full_thinning_removes_all_edges():
+    cloud = sample_binomial(100, UNIT_1D, seed=2)
+    assert build_rips(build_graph(cloud, 0.5), 1, (0.0,), seed=5).face_vector() == (100, 0)
+
+
+def test_edge_thinning_is_binomial_in_the_mean():
+    cloud = sample_binomial(300, UNIT_2D, seed=9)
+    graph = build_graph(cloud, 0.1)
+    p1, reps = 0.3, 1000
+    kept = np.array([
+        build_rips(graph, 1, (p1,), seed=seed).face_vector()[1] for seed in range(reps)
+    ])
+    expect = graph.edge_count * p1
+    stderr = math.sqrt(graph.edge_count * p1 * (1 - p1) / reps)
+    assert abs(kept.mean() - expect) <= 3.0 * stderr
+
+
+def test_edge_thinning_probability_validated():
+    graph = build_graph(cloud_from([[0.0], [0.5]]), 1.0)
+    with pytest.raises(ConfigurationError):
+        build_rips(graph, 1, (1.5,), seed=0)
+    with pytest.raises(ConfigurationError):
+        build_rips(graph, 2, (0.5,), seed=0)
+
+
+def thinned_by_definition(hard, rho, seed):
+    """Per-face downward-closed thinning: every subface kept, and coin < p."""
+    kept = [hard.faces_by_dim[0]]
+    for dim in range(1, hard.k_max + 1):
+        survivors = set(map(tuple, kept[-1].tolist()))
+        rows = np.array(
+            [row for row in hard.faces_by_dim[dim].tolist()
+             if all(sub in survivors for sub in itertools.combinations(row, dim))],
+            dtype=np.int64,
+        ).reshape(-1, dim + 1)
+        coins = uniform_coins(derive_seed(seed, FACE_COIN_STREAM, dim), rows)
+        kept.append(rows[coins < rho[dim - 1]])
+    return kept
+
+
+@st.composite
+def thinning_cases(draw):
+    """A small cloud in d = 1..3, a radius at 0.3-3x the connectivity threshold,
+    k_max, a retention vector and a seed."""
+    d = draw(st.integers(1, 3))
+    n = draw(st.sampled_from(range(2, 15)))  # integers() would favour the smallest clouds
+    k_max = draw(st.integers(1, 4))
+    box = UniformBox(lo=[0.0] * d, hi=[1.0] * d)
+    cloud = sample_binomial(n, box, seed=draw(st.integers(0, 2**32)))
+    threshold = (math.log(n + 1) / (n * math.pi ** (d / 2) / math.gamma(d / 2 + 1))) ** (1 / d)
+    r = threshold * draw(st.sampled_from([0.3, 0.6, 1.0, 1.5, 3.0]))
+    rho = draw(st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]), min_size=k_max, max_size=k_max))
+    return cloud, r, k_max, tuple(rho), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=300)
+@given(case=thinning_cases())
+def test_build_rips_thins_as_soft_thin_does(case):
+    cloud, r, k_max, rho, seed = case
+    graph = build_graph(cloud, r)
+    hard = build_rips(graph, k_max)
+    built = build_rips(graph, k_max, rho, seed)
+    oracle = soft_thin(hard, rho, seed)
+    by_definition = thinned_by_definition(rips_bruteforce(cloud, r, k_max), rho, seed)
+    assert (built.rho, built.seed) == (oracle.rho, oracle.seed)
+    for dim in range(k_max + 1):
+        assert np.array_equal(built.faces_by_dim[dim], oracle.faces_by_dim[dim])
+        assert np.array_equal(built.faces_by_dim[dim], by_definition[dim])
+        # join output needs no sort: lexsort returns the identity
+        for faces in (hard.faces_by_dim[dim], built.faces_by_dim[dim]):
+            assert np.array_equal(np.lexsort(faces.T[::-1]), np.arange(faces.shape[0]))
+    assert downward_closed(built)
 
 
 def _survival_frequency(points, r, rho, dim, seeds):

@@ -17,7 +17,7 @@ from softplex import (
     retention_exponent,
     unit_ball_volume,
 )
-from softplex.constants import log_growth_quantity
+from softplex.constants import _sample_unit_ball, _tuple_indicator, log_growth_quantity
 
 UNIT_1D = UniformBox(lo=[0.0], hi=[1.0])
 UNIT_2D = UniformBox(lo=[0.0, 0.0], hi=[1.0, 1.0])
@@ -77,9 +77,16 @@ def test_mu_k2_d1_uniform():
 
 
 def test_nu_equals_mu_for_edges():
-    a = estimate_mu(1, 2, UNIT_2D, samples=50_000, seed=5)
-    b = estimate_nu(1, 2, UNIT_2D, samples=50_000, seed=6)
-    assert a.value == pytest.approx(b.value, abs=1e-12)
+    # both edge indicators are |x| <= 1; the estimates cannot show it, since
+    # they sample x from the unit ball where both always hold, so the test
+    # evaluates the indicators on points of the ball of radius 2
+    block = 2.0 * _sample_unit_ball(np.random.default_rng(5), 4000, 2)[:, None, :]
+    inside = np.einsum("ij,ij->i", block[:, 0], block[:, 0]) <= 1.0
+    clique = _tuple_indicator(block, [0, 1], "rips")
+    ball = _tuple_indicator(block, [0, 1], "cech")
+    assert 0 < inside.sum() < inside.size
+    assert np.array_equal(clique, ball)
+    assert np.array_equal(clique, inside)
 
 
 def test_nu_strictly_below_mu_in_d2():

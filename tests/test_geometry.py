@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -8,12 +6,10 @@ from softplex import (
     InputError,
     PointCloud,
     RegionSpec,
-    UniformBox,
     build_graph,
     in_region,
     leftmost_point,
     region_from_config,
-    sample_binomial,
     threshold_pairs_bruteforce,
     threshold_pairs_grid,
 )
@@ -34,12 +30,6 @@ def test_threshold_is_closed():
     cloud = cloud_from([[0.0], [1.0]])
     graph = build_graph(cloud, 1.0)
     assert graph.edges.tolist() == [[0, 1]]
-
-
-def test_full_thinning_removes_all_edges():
-    cloud = sample_binomial(100, UniformBox(lo=[0.0], hi=[1.0]), seed=2)
-    graph = build_graph(cloud, 0.5, p1=0.0, seed=5)
-    assert graph.edge_count == 0
 
 
 def test_empty_and_singleton_clouds():
@@ -74,24 +64,9 @@ def test_edges_within_threshold():
     assert np.all(gaps <= r)
 
 
-def test_edge_thinning_is_binomial_in_the_mean():
-    cloud = sample_binomial(300, UniformBox(lo=[0.0, 0.0], hi=[1.0, 1.0]), seed=9)
-    full = build_graph(cloud, 0.1)
-    p1, reps = 0.3, 1000
-    kept = np.array([
-        build_graph(cloud, 0.1, p1=p1, seed=seed).edge_count for seed in range(reps)
-    ])
-    expect = full.edge_count * p1
-    stderr = math.sqrt(full.edge_count * p1 * (1 - p1) / reps)
-    assert abs(kept.mean() - expect) <= 3.0 * stderr
-
-
-def test_edge_thinning_probability_validated():
-    cloud = cloud_from([[0.0], [0.5]])
+def test_threshold_radius_validated():
     with pytest.raises(InputError):
-        build_graph(cloud, 1.0, p1=1.5)
-    with pytest.raises(InputError):
-        build_graph(cloud, -1.0)
+        build_graph(cloud_from([[0.0], [0.5]]), -1.0)
 
 
 def test_leftmost_point_examples():
