@@ -143,7 +143,7 @@ def _clique_join(prev_faces: np.ndarray, codes: list, n: int, complete: bool):
     t-faces sharing their first t vertices give a candidate when the edge
     between their last vertices is in ``codes[1]``.  Unless ``complete`` says
     the t-faces are every (t+1)-clique of those edges, the candidate must also
-    find its other t - 1 subfaces among the t-faces.  Prefix groups are
+    find its other t subfaces among the t-faces.  Prefix groups are
     contiguous and sorted and last vertices increase inside a group, so pair
     order is lex order and the rows come out lex-sorted.
     """
