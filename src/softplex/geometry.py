@@ -1,10 +1,14 @@
-"""Distance-threshold graphs, grid-accelerated neighbor search, regions.
+"""Distance-threshold graphs, sort-and-sweep and grid neighbor search, regions.
 
 The geometric graph joins two points whenever their distance is at most r
-(closed threshold).  Neighbor search bins points into a uniform grid of
-cell side r, so only same-cell and adjacent-cell pairs are examined; in the
-sparse regime this costs O(n + candidate pairs).  A quadratic reference
-implementation is kept alongside as the correctness oracle.
+(closed threshold).  In d = 1 the search sorts the points once and sweeps
+the sorted order offset by offset: a position stays a candidate for offset
+k only while its pair at offset k - 1 was within r.  In d >= 2 it bins
+points into a uniform grid of cell side just over r, so only same-cell and
+adjacent-cell pairs are examined.  Either way the sparse regime costs
+O(n log n + candidate pairs).  Every path returns its edges sorted by the
+int64 code lo * n + hi.  A quadratic reference implementation is kept
+alongside as the correctness oracle.
 """
 
 from __future__ import annotations
@@ -42,11 +46,18 @@ class GeometricGraph:
         return self.edges.shape[0]
 
 
-def _sort_pairs(ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    lo = np.minimum(ii, jj)
-    hi = np.maximum(ii, jj)
-    order = np.lexsort((hi, lo))
-    return np.stack([lo[order], hi[order]], axis=1)
+def _sort_pairs(ii: np.ndarray, jj: np.ndarray, n: int) -> np.ndarray:
+    """(m, 2) pairs (lo, hi), lo < hi, in lex order: one sort of lo * n + hi.
+
+    The code stays below n * n, which fits int64 for any n that fits in memory.
+    """
+    code = np.minimum(ii, jj)
+    code *= n
+    code += np.maximum(ii, jj)
+    code.sort()
+    pairs = np.empty((code.size, 2), dtype=np.int64)
+    np.divmod(code, n, out=(pairs[:, 0], pairs[:, 1]))
+    return pairs
 
 
 def threshold_pairs_bruteforce(points: np.ndarray, r: float) -> np.ndarray:
@@ -56,7 +67,7 @@ def threshold_pairs_bruteforce(points: np.ndarray, r: float) -> np.ndarray:
         return _NO_EDGES.copy()
     sq = cdist(points, points, "sqeuclidean")
     ii, jj = np.nonzero(np.triu(sq <= r * r, k=1))
-    return _sort_pairs(ii.astype(np.int64), jj.astype(np.int64))
+    return _sort_pairs(ii.astype(np.int64), jj.astype(np.int64), n)
 
 
 def _positive_offsets(d: int):
@@ -69,13 +80,60 @@ def _positive_offsets(d: int):
     return out
 
 
+def _threshold_pairs_sweep(x: np.ndarray, r: float) -> np.ndarray:
+    """All pairs of a 1-d cloud at distance <= r, by one sort and an offset sweep.
+
+    Offset 1 tests every adjacent gap of the sorted coordinates; offset k
+    tests only the positions whose pair at offset k - 1 passed, and the sweep
+    stops when none is left.  That drops no pair: in sorted order the float
+    gap xs[i + k] - xs[i] never decreases as k grows, because subtraction
+    rounds monotonically.  Vertex labels stay in draw order.
+    """
+    n = x.shape[0]
+    order = np.argsort(x)
+    xs = x[order]
+    r2 = r * r
+    gap = xs[1:] - xs[:-1]
+    pos = np.flatnonzero(gap * gap <= r2)
+    lefts, rights = [pos], [pos + 1]
+    k = 2
+    while pos.size:
+        pos = pos[pos < n - k]
+        gap = xs[pos + k] - xs[pos]
+        pos = pos[gap * gap <= r2]
+        lefts.append(pos)
+        rights.append(pos + k)
+        k += 1
+    return _sort_pairs(order[np.concatenate(lefts)], order[np.concatenate(rights)], n)
+
+
+# The grid's cell side is r * (1 + 2^-20) and each axis may span at most
+# 2^30 * r; together they keep every edge within adjacent cells.  With unit
+# roundoff u = 2^-53, a pair that passes the closed test (a float sum of
+# squared float differences <= fl(r * r)) lies within r * (1 + 4u) of each
+# other on every axis, and the float cell coordinate fl(fl(x - lo) / side)
+# is within 3u * span / side of the exact (x - lo) / side.  Two such
+# coordinates therefore differ by at most (1 + 4u + 6u * span / r) / (1 + 2^-20),
+# which is <= 1 while span / r <= (2^-20 - 4u) / (6u), about 1.4e9 > 2^30;
+# their floors then differ by at most 1.  The span bound is checked in
+# floating point before the cast to int64, so the cast is exact.
+_CELL_SLACK = 1.0 + 2.0**-20
+_MAX_SPAN_CELLS = 2.0**30
+
+
 def threshold_pairs_grid(points: np.ndarray, r: float) -> np.ndarray:
-    """All pairs at distance <= r using uniform-grid binning at cell side r."""
+    """All pairs at distance <= r: a sort-and-sweep in d = 1, a uniform grid in d >= 2."""
     n, d = points.shape
     if n < 2:
         return _NO_EDGES.copy()
+    if d == 1:
+        return _threshold_pairs_sweep(points[:, 0], r)
     lo = points.min(axis=0)
-    cells = np.floor((points - lo) / r).astype(np.int64) + 1  # pad for -1 offsets
+    if not np.all((points.max(axis=0) - lo) / r < _MAX_SPAN_CELLS):
+        raise ConfigurationError(
+            "coordinate span exceeds 2^30 * r on some axis; the grid cannot index it exactly"
+        )
+    cells = np.floor((points - lo) / (r * _CELL_SLACK)).astype(np.int64) + 1  # pad for -1 offsets
     extents = cells.max(axis=0) + 2
     strides = np.ones(d, dtype=object)
     for axis in range(d - 2, -1, -1):
@@ -83,7 +141,7 @@ def threshold_pairs_grid(points: np.ndarray, r: float) -> np.ndarray:
     if int(strides[0]) * int(extents[0]) >= 2**62:
         raise ConfigurationError("grid too fine for 64-bit cell keys; reduce 1/r or d")
     strides = strides.astype(np.int64)
-    keys = cells[:, 0] if d == 1 else cells @ strides
+    keys = cells @ strides
 
     order = np.argsort(keys)
     sorted_keys = keys[order]
@@ -114,7 +172,7 @@ def threshold_pairs_grid(points: np.ndarray, r: float) -> np.ndarray:
         return _NO_EDGES.copy()
     diff = points[cand_i] - points[cand_j]
     close = np.einsum("ij,ij->i", diff, diff) <= r * r
-    return _sort_pairs(cand_i[close], cand_j[close])
+    return _sort_pairs(cand_i[close], cand_j[close], n)
 
 
 def build_graph(cloud: PointCloud, r: float, *, seed: int | None = None) -> GeometricGraph:

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from softplex import (
     ConfigurationError,
@@ -37,15 +40,58 @@ def test_empty_and_singleton_clouds():
     assert build_graph(cloud_from([[0.0, 0.0]]), 1.0).edge_count == 0
 
 
-def test_grid_matches_bruteforce_on_random_instances():
-    rng = np.random.default_rng(101)
-    for d, r in ((1, 0.01), (2, 0.08), (3, 0.2)):
-        for _ in range(4):
-            n = int(rng.integers(20, 800))
-            pts = rng.random((n, d)) * (1.0 + rng.random(d))
-            grid = threshold_pairs_grid(pts, r)
-            brute = threshold_pairs_bruteforce(pts, r)
-            assert np.array_equal(grid, brute)
+# Coordinates on a dyadic grid in [-1, 1], so that offsets and multiples of
+# a dyadic r stay exact.
+GRID = st.integers(-(2**20), 2**20).map(lambda k: k / 2**20)
+
+
+@st.composite
+def threshold_instances(draw):
+    """A cloud of 0..60 points in d = 1..3 and a radius, of one kind: random,
+    tied (duplicates, coordinate ties, pairs exactly r apart) or runs spaced
+    exactly r apart along one axis; shifted by an offset that may be negative."""
+    d, n = draw(st.integers(1, 3)), draw(st.integers(0, 60))
+    r = draw(st.sampled_from([0.125, 0.25, 0.3, 1.0]))
+    kind = draw(st.sampled_from(["random", "ties", "runs"]))
+
+    def grid(*shape, values=GRID):
+        flat = draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
+        return np.asarray(flat, dtype=np.float64).reshape(shape)
+
+    if kind == "random":
+        pts = grid(n, d) * draw(st.sampled_from([0.5, 1.0, 4.0]))
+    elif kind == "ties":
+        pts = grid(n, d, values=st.integers(-4, 4).map(lambda k: k * r / 2))
+    else:
+        steps = grid(n, 1, values=st.integers(0, 12).map(float))
+        pts = grid(1, d) + steps * r * np.eye(d)[draw(st.integers(0, d - 1))]
+    return pts + draw(st.sampled_from([0.0, -3.0, 1000.5, -(2.0**20)])), r
+
+
+@settings(max_examples=500)
+@given(case=threshold_instances())
+def test_grid_matches_bruteforce_on_random_instances(case):
+    pts, r = case
+    n = pts.shape[0]
+    edges = threshold_pairs_grid(pts, r)
+    assert np.array_equal(edges, threshold_pairs_bruteforce(pts, r))
+    assert edges.dtype == np.int64 and edges.shape == (edges.shape[0], 2)
+    assert np.all(edges[:, 0] < edges[:, 1])
+    assert np.all(np.diff(edges[:, 0] * n + edges[:, 1]) > 0)
+
+
+def test_far_offset_pair_is_found_or_refused():
+    # A span of 1 against r = 2e-17: (x - lo) / r cannot index cells exactly.
+    # The d = 1 sweep needs no cells; the grid must refuse, not miss the pair.
+    line = np.array([[-1.0], [1.1e-16], [1.2e-16]])
+    assert threshold_pairs_grid(line, 2e-17).tolist() == [[1, 2]]
+    plane = np.hstack([line, np.zeros((3, 1))])
+    assert threshold_pairs_bruteforce(plane, 2e-17).tolist() == [[1, 2]]
+    with pytest.raises(ConfigurationError):
+        threshold_pairs_grid(plane, 2e-17)
+    # Within the grid's span bound (here 2^29 * r) the pair is found.
+    plane[1:, 0] = [2.0**-30, 2.0**-30 + 2.0**-31]
+    assert threshold_pairs_grid(plane, 2.0**-29).tolist() == [[1, 2]]
 
 
 def test_edge_list_sorted_and_duplicate_free():
