@@ -38,6 +38,7 @@ from .complexes import (
     FaceCounts,
     SimplicialComplex,
     build_cech,
+    build_complex,
     build_rips,
     downward_closed,
     euler_characteristic,

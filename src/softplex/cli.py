@@ -20,7 +20,7 @@ import sys
 import numpy as np
 from scipy.special import ndtri
 
-from .complexes import build_cech, build_rips, soft_thin
+from .complexes import build_complex
 from .constants import (
     estimate_face_constant,
     estimate_pair_constant,
@@ -88,10 +88,13 @@ def _load_json(path: str):
 
 
 def _thread_count(args) -> int | None:
-    if getattr(args, "threads", None) is not None:
-        return args.threads
-    env = os.environ.get("SOFTPLEX_THREADS")
-    return int(env) if env else None
+    """Worker count from --threads, else SOFTPLEX_THREADS, else None (the default)."""
+    threads, source = getattr(args, "threads", None), "--threads"
+    if threads is None:
+        threads, source = os.environ.get("SOFTPLEX_THREADS") or None, "SOFTPLEX_THREADS"
+    if threads is not None and not (str(threads).isdecimal() and int(threads) >= 1):
+        raise ConfigurationError(f"{source} must be a positive integer, got {threads!r}")
+    return None if threads is None else int(threads)
 
 
 def _cmd_sample(args) -> int:
@@ -126,12 +129,8 @@ def _cmd_build(args) -> int:
         "rho": args.rho,
         "seed": args.seed,
     }
-    if args.model == "rips":
-        complex_ = build_rips(build_graph(cloud, args.r), args.kmax, args.rho, args.seed)
-    else:
-        complex_ = build_cech(cloud, args.r, args.kmax)
-        if args.rho is not None:
-            complex_ = soft_thin(complex_, args.rho, args.seed)
+    complex_ = build_complex(build_graph(cloud, args.r), args.kmax, args.model, args.rho,
+                             args.seed)
     edges = complex_.faces_by_dim[1] if args.kmax >= 1 else np.empty((0, 2), np.int64)
     _write_csv(f"{args.out}.edges.csv", ["i", "j"], edges.tolist(), payload)
     for dim, faces in enumerate(complex_.faces_by_dim):

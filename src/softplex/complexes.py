@@ -3,12 +3,15 @@
 Hard complexes: the clique complex of the threshold graph (faces of
 dimension k are the (k+1)-cliques), and its ball-intersection variant whose
 k-faces are (k+1)-tuples with smallest enclosing ball radius at most r/2.
-Clique faces are enumerated dimension by dimension: a (k+1)-tuple is a
-candidate iff its two parent k-tuples sharing a (k-1)-prefix are faces and
-the closing edge exists.  In a lex-sorted table the prefix groups are
-contiguous and sorted and the last vertices increase inside a group, so the
-join emits its rows in lex order without a sort; every face table here is
-lex-sorted.
+One builder, `build_complex`, makes both flavours dimension by dimension: a
+(k+1)-tuple is a candidate iff its two parent k-tuples sharing a
+(k-1)-prefix are faces and the closing edge exists, and the ball flavour
+keeps the candidates whose enclosing ball passes.  A ball face's subfaces
+are ball faces, because the radius can only shrink on a subset, so joining
+from the ball k-faces misses none.  In a lex-sorted table the prefix groups
+are contiguous and sorted and the last vertices increase inside a group, so
+the join emits its rows in lex order without a sort; every face table here
+is lex-sorted.
 
 Faces are looked up by int64 row codes.  A k-face's code is (row index of
 its first k vertices among the (k-1)-faces) * n + its last vertex, and a
@@ -33,12 +36,13 @@ independent p_1 coin; for k >= 2 a face is eligible only when every
 A fixed admissible k-face therefore survives with marginal probability
 prod_{i=1..k} p_i^C(k+1, i+1), which the tests enforce.  Coins are hashed
 from (seed, dimension, vertex tuple), so thinnings with the same seed are
-monotone in the retention probabilities.  `build_rips(graph, k_max, rho,
-seed)` thins as it builds: it joins dimension k + 1 from the surviving
-k-faces only, keeps the candidates whose other k-subfaces survived too, and
-skips the coins of a dimension whose p is 1, which keeps every face since
-coins lie in [0, 1).  `soft_thin` draws the same coins on a finished complex;
-the Cech path uses it, and the tests use it as the oracle of the fused path.
+monotone in the retention probabilities.  `build_complex` thins as it
+builds: it joins dimension k + 1 from the surviving k-faces only, keeps the
+candidates whose other k-subfaces survived too, and skips the coins of a
+dimension whose p is 1, which keeps every face since coins lie in [0, 1).
+`build_rips` and `build_cech` are its two flavours.  `soft_thin` draws the
+same coins on a finished complex; no pipeline calls it, and the tests use it
+as the oracle of the fused path.
 """
 
 from __future__ import annotations
@@ -141,11 +145,16 @@ def _clique_join(prev_faces: np.ndarray, codes: list, n: int, complete: bool):
 
     ``codes`` holds the row codes of the faces up to dimension t.  Two
     t-faces sharing their first t vertices give a candidate when the edge
-    between their last vertices is in ``codes[1]``.  Unless ``complete`` says
-    the t-faces are every (t+1)-clique of those edges, the candidate must also
-    find its other t subfaces among the t-faces.  Prefix groups are
-    contiguous and sorted and last vertices increase inside a group, so pair
-    order is lex order and the rows come out lex-sorted.
+    between their last vertices is in ``codes[1]``.  Unless ``complete``, the
+    candidate must also find its other t subfaces among the t-faces.
+    ``complete`` says a missing subface dooms the candidate anyway: the
+    t-faces are every (t+1)-clique of those edges that passes the caller's
+    filter, and the filter rejects every tuple with a rejected subset.  With
+    no filter (Rips) they are every (t+1)-clique; the Cech ball filter
+    qualifies because the enclosing-ball radius can only shrink on a subset.
+    Only a coin that removes a face of dimension >= 2 breaks it.  Prefix
+    groups are contiguous and sorted and last vertices increase inside a
+    group, so pair order is lex order and the rows come out lex-sorted.
     """
     m, width = prev_faces.shape
     if m < 2:
@@ -165,16 +174,22 @@ def _clique_join(prev_faces: np.ndarray, codes: list, n: int, complete: bool):
     return out, li
 
 
-def build_rips(graph: GeometricGraph, k_max: int, rho=None, seed: int = 0) -> SimplicialComplex:
-    """Clique complex of the graph up to dimension k_max, thinned as it is built.
+def build_complex(graph: GeometricGraph, k_max: int, flavor: str = "rips", rho=None,
+                  seed: int = 0) -> SimplicialComplex:
+    """Clique or ball-intersection complex up to dimension k_max, thinned as it is built.
 
-    With a retention vector ``rho`` (one probability per dimension 1..k_max),
-    a k-face survives when all its (k-1)-subfaces survived and its coin,
+    Dimension k + 1 is joined from the k-faces.  For ``flavor == "cech"`` a
+    joined tuple of dimension >= 2 is kept only when its smallest enclosing
+    ball has radius at most r/2; an edge's ball radius is half its length, so
+    dimension 1 needs no filter.  With a retention vector ``rho`` (one
+    probability per dimension 1..k_max), a k-face then survives when all its
+    (k-1)-subfaces survived and its coin,
     ``uniform_coins(derive_seed(seed, FACE_COIN_STREAM, k), faces)``, is below
-    ``rho[k-1]``; dimension k + 1 is joined from the surviving k-faces only.
-    The result equals ``soft_thin(build_rips(graph, k_max), rho, seed)`` row
-    for row.  Without ``rho`` the complex is the hard clique complex.
+    ``rho[k-1]``.  The result equals ``soft_thin(hard, rho, seed)`` row for
+    row, where ``hard`` is the complex built without ``rho``.
     """
+    if flavor not in ("rips", "cech"):
+        raise ConfigurationError(f"flavor must be 'rips' or 'cech', got {flavor!r}")
     if k_max < 0:
         raise InputError(f"k_max must be nonnegative, got {k_max}")
     if rho is not None:
@@ -188,6 +203,9 @@ def build_rips(graph: GeometricGraph, k_max: int, rho=None, seed: int = 0) -> Si
             rows, prefix = graph.edges, graph.edges[:, 0]
         else:
             rows, prefix = _clique_join(faces[-1], codes, n, complete)
+            if flavor == "cech":
+                ball = _min_ball_radii(graph.cloud.points[rows]) <= graph.r / 2.0
+                rows, prefix = rows[ball], prefix[ball]
         if rho is not None and rho[dim - 1] < 1.0 and rows.shape[0]:
             keep = uniform_coins(derive_seed(seed, FACE_COIN_STREAM, dim), rows) < rho[dim - 1]
             if dim >= 2 and not keep.all():
@@ -195,23 +213,30 @@ def build_rips(graph: GeometricGraph, k_max: int, rho=None, seed: int = 0) -> Si
             rows, prefix = rows[keep], prefix[keep]
         faces.append(rows)
         codes.append(prefix * n + rows[:, -1])
-    return SimplicialComplex(cloud=graph.cloud, faces_by_dim=tuple(faces), flavor="rips",
+    return SimplicialComplex(cloud=graph.cloud, faces_by_dim=tuple(faces), flavor=flavor,
                              r=graph.r, rho=rho, seed=int(seed))
 
 
+def build_rips(graph: GeometricGraph, k_max: int, rho=None, seed: int = 0) -> SimplicialComplex:
+    """Clique complex of the graph up to dimension k_max, thinned by ``rho`` as it is built."""
+    return build_complex(graph, k_max, "rips", rho, seed)
+
+
 def rips_bruteforce(cloud: PointCloud, r: float, k_max: int) -> SimplicialComplex:
-    """All-subsets admissibility test; quadratic-and-worse reference oracle."""
+    """All-subsets admissibility test; quadratic-and-worse reference oracle.
+
+    One boolean adjacency matrix holds the closed test on every pair's sum of
+    squares; a vertex combination is a face when all its pairs are adjacent.
+    """
     pts = cloud.points
     n = len(cloud)
+    diff = pts[:, None, :] - pts[None, :, :]
+    adjacent = np.einsum("ijk,ijk->ij", diff, diff) <= r * r
     faces = [np.arange(n, dtype=np.int64)[:, None]]
     for dim in range(1, k_max + 1):
-        rows = []
-        for combo in combinations(range(n), dim + 1):
-            sub = pts[list(combo)]
-            diff = sub[:, None, :] - sub[None, :, :]
-            if np.all(np.einsum("ijk,ijk->ij", diff, diff) <= r * r):
-                rows.append(combo)
-        faces.append(np.asarray(rows, dtype=np.int64).reshape(len(rows), dim + 1))
+        combos = np.array(list(combinations(range(n), dim + 1)), np.int64).reshape(-1, dim + 1)
+        first, second = np.array(list(combinations(range(dim + 1), 2))).T
+        faces.append(combos[adjacent[combos[:, first], combos[:, second]].all(axis=1)])
     return SimplicialComplex(cloud=cloud, faces_by_dim=tuple(faces), flavor="rips", r=float(r))
 
 
@@ -338,19 +363,8 @@ def _min_ball_radii(tuples: np.ndarray) -> np.ndarray:
 
 
 def build_cech(cloud: PointCloud, r: float, k_max: int) -> SimplicialComplex:
-    """Ball-intersection complex; candidates come from the clique complex.
-
-    A tuple whose radius-r/2 balls all intersect is pairwise within r, so
-    filtering the clique faces by the enclosing-ball test is exhaustive.
-    """
-    if not r > 0:
-        raise InputError(f"threshold radius must be positive, got {r}")
-    rips = build_rips(build_graph(cloud, r), k_max)
-    faces = list(rips.faces_by_dim)
-    for dim in range(2, len(faces)):
-        if faces[dim].shape[0]:
-            faces[dim] = faces[dim][_min_ball_radii(cloud.points[faces[dim]]) <= r / 2.0]
-    return SimplicialComplex(cloud=cloud, faces_by_dim=tuple(faces), flavor="cech", r=float(r))
+    """Hard ball-intersection complex: tuples whose radius-r/2 balls share a point."""
+    return build_complex(build_graph(cloud, r), k_max, "cech")
 
 
 def soft_thin(complex_: SimplicialComplex, rho, seed: int) -> SimplicialComplex:

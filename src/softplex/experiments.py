@@ -1,13 +1,14 @@
 """Replicated end-to-end simulations and distributional diagnostics.
 
-One replication samples a cloud, builds the threshold graph, assembles the
-complex up to k_max, applies the downward-closed thinning, and records the
-region-restricted face counts and Euler characteristic.  Replications are
-independent work items seeded by hash(master_seed, index), so the results
-are bit-identical for any worker count.  On top of the replication table sit
-the normality diagnostics: z-score normalization (empirical or predicted),
-the Kolmogorov-Smirnov distance to the standard normal, sample moments, and
-the variance-ratio comparisons against the vertex count.
+One replication samples a cloud, builds the threshold graph, builds the
+clique or ball complex up to k_max with its downward-closed thinning applied
+as it goes, and records the region-restricted face counts and Euler
+characteristic.  Replications are independent work items seeded by
+hash(master_seed, index), so the results are bit-identical for any worker
+count.  On top of the replication table sit the normality diagnostics:
+z-score normalization (empirical or predicted), the Kolmogorov-Smirnov
+distance to the standard normal, sample moments, and the variance-ratio
+comparisons against the vertex count.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .complexes import build_cech, build_rips, euler_characteristic, face_counts, soft_thin
+from .complexes import build_complex, euler_characteristic, face_counts
 from .constants import log_growth_quantity, unit_ball_volume
 from .densities import Density, UniformBox, density_from_config
 from .errors import ConfigurationError, DegenerateSampleError, InputError, MemoryGuardError
@@ -217,11 +218,8 @@ def replicate_once(config: ExperimentConfig, index: int) -> ReplicationResult:
         cloud = sample_binomial(int(config.n), config.density, seed)
     else:
         cloud = sample_poisson(config.n, config.density, seed)
-    r = config.radius
-    if config.model == "rips":
-        complex_ = build_rips(build_graph(cloud, r), config.k_max, config.retention, seed)
-    else:
-        complex_ = soft_thin(build_cech(cloud, r, config.k_max), config.retention, seed)
+    complex_ = build_complex(build_graph(cloud, config.radius), config.k_max, config.model,
+                             config.retention, seed)
     counts = face_counts(complex_, config.region)
     return ReplicationResult(
         index=index,

@@ -179,8 +179,8 @@ def build_graph(cloud: PointCloud, r: float, *, seed: int | None = None) -> Geom
     """Threshold graph on the cloud.
 
     The graph draws no randomness; retention coins, the edges' among them,
-    belong to ``build_rips`` and ``soft_thin``.  ``seed`` is accepted and
-    ignored, for callers that still pass one.
+    belong to ``build_complex``, which builds both flavours on this graph.
+    ``seed`` is accepted and ignored, for callers that still pass one.
     """
     if not r > 0:
         raise InputError(f"threshold radius must be positive, got {r}")

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from softplex import UniformBox, build_cech, sample_binomial, soft_thin
 from softplex.cli import main
 
 
@@ -72,6 +73,18 @@ def test_build_dumps_faces_per_dimension(tmp_path):
     assert len(dim1) == len(edges)
     assert (tmp_path / "cx.dim0.csv").exists()
     assert (tmp_path / "cx.dim2.csv").exists()
+
+
+def test_build_cech_thinned_matches_two_pass_oracle(tmp_path):
+    prefix = tmp_path / "cx"
+    assert main(["build", "--model", "cech", "--n", "150", "--r", "0.2", "--kmax", "3",
+                 "--d", "2", "--rho", "0.7,0.7,0.7", "--seed", "4", "--out", str(prefix)]) == 0
+    cloud = sample_binomial(150, UniformBox(lo=[0.0, 0.0], hi=[1.0, 1.0]), 4)
+    oracle = soft_thin(build_cech(cloud, 0.2, 3), (0.7, 0.7, 0.7), 4)
+    assert oracle.face_vector()[3] > 0
+    for dim, faces in enumerate(oracle.faces_by_dim):
+        rows = (tmp_path / f"cx.dim{dim}.csv").read_text().strip().splitlines()[2:]
+        assert rows == [",".join(map(str, face)) for face in faces.tolist()]
 
 
 def test_constants_subcommand_writes_json(tmp_path):
@@ -182,6 +195,18 @@ def test_threads_env_fallback(tmp_path, monkeypatch):
     out = tmp_path / "res.csv"
     assert main(["experiment", "run", "--config", str(config), "--out", str(out)]) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("flag,env", [(["--threads", "0"], None), (["--threads", "-3"], None),
+                                      ([], "abc"), ([], "0")])
+def test_bad_thread_count_exits_one(tmp_path, monkeypatch, caplog, flag, env):
+    if env is not None:
+        monkeypatch.setenv("SOFTPLEX_THREADS", env)
+    config = write_config(tmp_path / "exp.json", replications=2)
+    out = tmp_path / "res.csv"
+    assert main(["experiment", "run", "--config", str(config), "--out", str(out), *flag]) == 1
+    assert not out.exists()
+    assert ("--threads" if flag else "SOFTPLEX_THREADS") in caplog.text
 
 
 def test_console_entry_point_runs():

@@ -13,6 +13,7 @@ from softplex import (
     RegionSpec,
     UniformBox,
     build_cech,
+    build_complex,
     build_graph,
     build_rips,
     downward_closed,
@@ -292,36 +293,64 @@ def thinned_by_definition(hard, rho, seed):
 
 @st.composite
 def thinning_cases(draw):
-    """A small cloud in d = 1..3, a radius at 0.3-3x the connectivity threshold,
-    k_max, a retention vector and a seed."""
+    """A small cloud in d = 1..3, a radius, k_max, a retention vector and a seed.
+
+    Random clouds take a radius at 0.3-3x the connectivity threshold.  Tied
+    clouds sit on a lattice of step 1/4 with r = 1/2 or 1, so distances and
+    ball radii are exact: duplicates, edges exactly r long and tuples whose
+    enclosing ball has radius exactly r/2 all occur.
+    """
     d = draw(st.integers(1, 3))
     n = draw(st.sampled_from(range(2, 15)))  # integers() would favour the smallest clouds
     k_max = draw(st.integers(1, 4))
-    box = UniformBox(lo=[0.0] * d, hi=[1.0] * d)
-    cloud = sample_binomial(n, box, seed=draw(st.integers(0, 2**32)))
-    threshold = (math.log(n + 1) / (n * math.pi ** (d / 2) / math.gamma(d / 2 + 1))) ** (1 / d)
-    r = threshold * draw(st.sampled_from([0.3, 0.6, 1.0, 1.5, 3.0]))
+    if draw(st.booleans()):
+        box = UniformBox(lo=[0.0] * d, hi=[1.0] * d)
+        cloud = sample_binomial(n, box, seed=draw(st.integers(0, 2**32)))
+        threshold = (math.log(n + 1) / (n * math.pi ** (d / 2) / math.gamma(d / 2 + 1))) ** (1 / d)
+        r = threshold * draw(st.sampled_from([0.3, 0.6, 1.0, 1.5, 3.0]))
+    else:
+        steps = draw(st.lists(st.integers(0, 4), min_size=n * d, max_size=n * d))
+        cloud = cloud_from(0.25 * np.array(steps, dtype=np.float64).reshape(n, d))
+        r = draw(st.sampled_from([0.5, 1.0]))
     rho = draw(st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]), min_size=k_max, max_size=k_max))
     return cloud, r, k_max, tuple(rho), draw(st.integers(0, 2**32))
 
 
-@settings(max_examples=300)
-@given(case=thinning_cases())
-def test_build_rips_thins_as_soft_thin_does(case):
+def cech_by_definition(cloud, r, k_max):
+    """Every subset tested directly: pairwise within r, enclosing ball within r/2."""
+    rips = rips_bruteforce(cloud, r, k_max)
+    faces = [rows if dim < 2 else rows[_min_ball_radii(cloud.points[rows]) <= r / 2.0]
+             for dim, rows in enumerate(rips.faces_by_dim)]
+    return replace(rips, faces_by_dim=tuple(faces), flavor="cech")
+
+
+@settings(max_examples=500)
+@given(case=thinning_cases(), flavor=st.sampled_from(["rips", "cech"]))
+def test_build_complex_thins_as_soft_thin_does(case, flavor):
     cloud, r, k_max, rho, seed = case
     graph = build_graph(cloud, r)
-    hard = build_rips(graph, k_max)
-    built = build_rips(graph, k_max, rho, seed)
+    if flavor == "rips":
+        hard, definition = build_rips(graph, k_max), rips_bruteforce(cloud, r, k_max)
+    else:
+        hard, definition = build_cech(cloud, r, k_max), cech_by_definition(cloud, r, k_max)
+    built = build_complex(graph, k_max, flavor, rho, seed)
     oracle = soft_thin(hard, rho, seed)
-    by_definition = thinned_by_definition(rips_bruteforce(cloud, r, k_max), rho, seed)
-    assert (built.rho, built.seed) == (oracle.rho, oracle.seed)
+    by_definition = thinned_by_definition(definition, rho, seed)
+    assert (built.flavor, built.rho, built.seed) == (flavor, oracle.rho, oracle.seed)
     for dim in range(k_max + 1):
+        assert np.array_equal(hard.faces_by_dim[dim], definition.faces_by_dim[dim])
         assert np.array_equal(built.faces_by_dim[dim], oracle.faces_by_dim[dim])
         assert np.array_equal(built.faces_by_dim[dim], by_definition[dim])
         # join output needs no sort: lexsort returns the identity
         for faces in (hard.faces_by_dim[dim], built.faces_by_dim[dim]):
             assert np.array_equal(np.lexsort(faces.T[::-1]), np.arange(faces.shape[0]))
     assert downward_closed(built)
+
+
+def test_build_complex_rejects_unknown_flavor():
+    graph = build_graph(cloud_from([[0.0], [0.5]]), 1.0)
+    with pytest.raises(ConfigurationError):
+        build_complex(graph, 1, "alpha")
 
 
 def _survival_frequency(points, r, rho, dim, seeds):

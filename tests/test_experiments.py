@@ -10,21 +10,29 @@ from softplex import (
     ExperimentConfig,
     InputError,
     MemoryGuardError,
+    RegionSpec,
     ReplicationResult,
     UniformBox,
+    build_cech,
     clt_report,
     config_from_dict,
     depoisson_compare,
     estimate_mu,
+    euler_characteristic,
+    face_counts,
     kolmogorov_threshold,
     ks_statistic,
     moment_diagnostics,
     normalize,
     predicted_moments,
     run_experiment,
+    sample_binomial,
+    soft_thin,
     statistic_samples,
     variance_ratio_report,
 )
+from softplex.experiments import replicate_once
+from softplex.rng import REPLICATION_STREAM, derive_seed
 
 
 def small_config(**overrides):
@@ -78,6 +86,20 @@ def test_thinning_monotone_against_shared_geometry():
     thinned = small_config(n=800, r=0.004, rho=(0.6, 0.5), replications=8)
     for full, thin in zip(run_experiment(base, threads=1), run_experiment(thinned, threads=1)):
         assert all(t <= f for t, f in zip(thin.f, full.f))
+
+
+def test_cech_replication_matches_two_pass_oracle():
+    region = RegionSpec(kind="box", lo=(0.2, 0.2), hi=(0.8, 0.8))
+    config = small_config(model="cech", n=400, d=2, k_max=3, r=0.12, rho=(0.9, 0.7, 0.8),
+                          region=region, statistic=("chi",))
+    for index in range(3):
+        seed = derive_seed(config.master_seed, REPLICATION_STREAM, index)
+        cloud = sample_binomial(400, config.density, seed)
+        hard = build_cech(cloud, 0.12, 3)
+        counts = face_counts(soft_thin(hard, config.rho, seed), region)
+        res = replicate_once(config, index)
+        assert res.f == counts.f and res.chi == euler_characteristic(counts)
+        assert 0 < res.f[3] < face_counts(hard, region).f[3]
 
 
 def test_empirical_mean_matches_prediction():
