@@ -21,11 +21,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from .complexes import build_complex
-from .constants import (
-    estimate_face_constant,
-    estimate_pair_constant,
-    regime_check,
-)
+from .constants import _estimate, regime_check
 from .densities import UniformBox, GaussianIsotropic, density_from_config
 from .errors import ConfigurationError, InputError, MemoryGuardError, SoftplexError
 from .geometry import ALL_SPACE, build_graph, region_from_config
@@ -143,21 +139,8 @@ def _cmd_build(args) -> int:
 def _cmd_constants(args) -> int:
     density = _parse_density(args.density, args.d)
     region = region_from_config(json.loads(args.region)) if args.region else ALL_SPACE
-    threads = _thread_count(args)
-    if args.kind in ("mu", "nu"):
-        flavor = "rips" if args.kind == "mu" else "cech"
-        est = estimate_face_constant(args.k, args.d, density, region,
-                                     samples=args.samples, seed=args.seed, flavor=flavor,
-                                     threads=threads)
-    elif args.kind in ("phi", "theta"):
-        if args.l is None or args.j is None:
-            raise ConfigurationError(f"kind {args.kind!r} requires --l and --j")
-        flavor = "rips" if args.kind == "phi" else "cech"
-        est = estimate_pair_constant(args.k, args.l, args.j, args.d, density, region,
-                                     samples=args.samples, seed=args.seed, flavor=flavor,
-                                     threads=threads)
-    else:
-        raise ConfigurationError(f"unknown constant kind {args.kind!r}")
+    est = _estimate(args.kind, args.k, args.l, args.j, args.d, density, region, args.samples,
+                    args.seed, _thread_count(args))
     payload = est.to_json()
     payload["params"].update({"d": args.d, "density": density.to_config(), "seed": args.seed})
     with open(args.out, "w", encoding="utf-8", newline="\n") as handle:

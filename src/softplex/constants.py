@@ -3,20 +3,25 @@
 Face-count asymptotics in the sparse regime are governed by constants of the
 form
 
-    (1/(k+1)!) * integral_A f(x)^{k+1} dx
-              * integral over (R^d)^k of the unit-scale indicator,
+    (1/(j! (k+1-j)! (l+1-j)!)) * integral_A f(x)^{k+l+2-j} dx
+        * integral over (R^d)^{k+l+1-j} of the unit-scale indicator,
 
-where the indicator requires {0, x_1, ..., x_k} to span a complete graph at
-threshold 1 (clique flavor) or to fit in a ball of radius 1/2 (ball flavor).
-Covariance coefficients generalize this to two faces sharing j vertices.
-Both factors are estimated independently (outer: draws from the density;
-inner: uniform draws from the unit ball, whose support contains the
-indicator), and the standard errors combine by the delta method.
+the covariance coefficient of a k-face and an l-face sharing j vertices,
+where the indicator requires both vertex tuples (each containing the origin)
+to span a complete graph at threshold 1 (clique flavor) or to fit in a ball
+of radius 1/2 (ball flavor).  A k-face is exactly the full-overlap pair
+(k, k, j = k + 1), so the face constants mu_k / nu_k and the pair constants
+phi / theta come from one estimator.  Both factors are estimated
+independently (outer: draws from the density; inner: uniform draws from the
+unit ball, whose support contains the indicator), and the standard errors
+combine by the delta method.
 
 The closed-form side evaluates predicted means, variances, and covariances
-in log space from (n, r, rho) plus estimated constants, and checks regime
-hypotheses (sparsity, growth, vanishing of higher faces) against
-finite-size proxy thresholds.
+in log space from (n, r, rho) plus estimated constants, through one scale
+prod_i p_i^{e_i} * n^{k+l+2-j} * r^{d(k+l+1-j)} with e_i the joint
+retention exponent; the face growth quantity is its (k, k, k + 1) case.  It
+also checks regime hypotheses (sparsity, growth, vanishing of higher faces)
+against finite-size proxy thresholds.
 """
 
 from __future__ import annotations
@@ -172,17 +177,18 @@ def _inner_factor(inner_points: int, d: int, member_lists: list[list[int]], flav
     The indicator vanishes unless every sampled point lies in the unit ball
     around the origin (all tuples contain the origin and are admissible at
     scale 1), so uniform sampling from B(0,1)^inner_points with the matching
-    volume factor is exact.
+    volume factor is exact.  Each distinct member list is tested once.
     """
     if inner_points == 0:
         return 1.0, 0.0
     volume = unit_ball_volume(d) ** inner_points
+    distinct = list(dict.fromkeys(tuple(members) for members in member_lists))
 
     def worker(index: int, size: int):
         rng = generator(seed, MC_INNER_STREAM, index)
         block = _sample_unit_ball(rng, size * inner_points, d).reshape(size, inner_points, d)
         ok = np.ones(size, dtype=bool)
-        for members in member_lists:
+        for members in distinct:
             ok &= _tuple_indicator(block, members, flavor)
         hits = float(ok.sum())
         return hits, hits  # indicator: squares equal values
@@ -200,22 +206,51 @@ def _product_estimate(coeff: float, outer: tuple[float, float],
     return value, stderr
 
 
+# constant kind -> (complex flavor, whether it couples two faces)
+_KINDS = {"mu": ("rips", False), "nu": ("cech", False),
+          "phi": ("rips", True), "theta": ("cech", True)}
+
+
+def _kind(flavor: str, pair: bool) -> str:
+    for kind, spec in _KINDS.items():
+        if spec == (flavor, pair):
+            return kind
+    raise ConfigurationError(f"flavor must be 'rips' or 'cech', got {flavor!r}")
+
+
+def _estimate(kind: str, k: int, l: int | None, j: int | None, d: int, density: Density,
+              region: RegionSpec, samples: int, seed: int,
+              threads: int | None) -> ConstantEstimate:
+    """Any constant kind; a face constant (l and j ignored) is the pair (k, k, k + 1)."""
+    flavor, pair = _KINDS[kind]
+    if pair and (l is None or j is None):
+        raise ConfigurationError(f"kind {kind!r} requires l and j")
+    l, j = (l, j) if pair else (k, k + 1)
+    if k < 0 or l < 0:
+        raise InputError("face dimensions must be nonnegative")
+    if not 1 <= j <= min(k, l) + 1:
+        raise InputError(f"overlap j={j} outside 1..min(k,l)+1={min(k, l) + 1}")
+    if samples < 1:
+        raise InputError(f"samples must be >= 1, got {samples}")
+    if density.dimension != d:
+        raise InputError(f"density dimension {density.dimension} != d={d}")
+    inner_points = k + l + 1 - j
+    outer = _outer_factor(inner_points, density, region, samples, seed, threads)
+    first = list(range(k + 1))
+    second = list(range(j)) + list(range(k + 1, k + l + 2 - j))
+    inner = _inner_factor(inner_points, d, [first, second], flavor, samples, seed, threads)
+    coeff = 1.0 / (math.factorial(j) * math.factorial(k + 1 - j) * math.factorial(l + 1 - j))
+    value, stderr = _product_estimate(coeff, outer, inner)
+    return ConstantEstimate(value=value, stderr=stderr, samples=samples, kind=kind, k=k,
+                            l=l if pair else None, j=j if pair else None, region=region)
+
+
 def estimate_face_constant(k: int, d: int, density: Density, region: RegionSpec = ALL_SPACE,
                            samples: int = 1_000_000, seed: int = 0,
                            flavor: str = "rips", threads: int | None = None) -> ConstantEstimate:
     """Limiting coefficient of E and var of the k-face count, divided by n^{k+1} r^{dk}."""
-    if k < 0 or samples < 1:
-        raise InputError("k must be >= 0 and samples >= 1")
-    if density.dimension != d:
-        raise InputError(f"density dimension {density.dimension} != d={d}")
-    outer = _outer_factor(k, density, region, samples, seed, threads)
-    members = [list(range(k + 1))]
-    inner = _inner_factor(k, d, members, flavor, samples, seed, threads)
-    coeff = 1.0 / math.factorial(k + 1)
-    value, stderr = _product_estimate(coeff, outer, inner)
-    kind = "mu" if flavor == "rips" else "nu"
-    return ConstantEstimate(value=value, stderr=stderr, samples=samples,
-                            kind=kind, k=k, region=region)
+    return _estimate(_kind(flavor, False), k, None, None, d, density, region, samples, seed,
+                     threads)
 
 
 def estimate_mu(k, d, density, region=ALL_SPACE, samples=1_000_000, seed=0, threads=None):
@@ -231,22 +266,7 @@ def estimate_pair_constant(k: int, l: int, j: int, d: int, density: Density,
                            seed: int = 0, flavor: str = "rips",
                            threads: int | None = None) -> ConstantEstimate:
     """Covariance coefficient for a k-face and an l-face sharing j vertices."""
-    if k < 0 or l < 0:
-        raise InputError("face dimensions must be nonnegative")
-    if not 1 <= j <= min(k + 1, l + 1):
-        raise InputError(f"overlap j={j} outside 1..min(k+1,l+1)={min(k + 1, l + 1)}")
-    if density.dimension != d:
-        raise InputError(f"density dimension {density.dimension} != d={d}")
-    inner_points = k + l + 1 - j
-    outer = _outer_factor(k + l + 1 - j, density, region, samples, seed, threads)
-    first = list(range(k + 1))
-    second = list(range(j)) + list(range(k + 1, k + l + 2 - j))
-    inner = _inner_factor(inner_points, d, [first, second], flavor, samples, seed, threads)
-    coeff = 1.0 / (math.factorial(j) * math.factorial(k + 1 - j) * math.factorial(l + 1 - j))
-    value, stderr = _product_estimate(coeff, outer, inner)
-    kind = "phi" if flavor == "rips" else "theta"
-    return ConstantEstimate(value=value, stderr=stderr, samples=samples,
-                            kind=kind, k=k, l=l, j=j, region=region)
+    return _estimate(_kind(flavor, True), k, l, j, d, density, region, samples, seed, threads)
 
 
 def estimate_phi(k, l, j, d, density, region=ALL_SPACE, samples=1_000_000, seed=0, threads=None):
@@ -272,20 +292,22 @@ def _log_rho_product(rho, exponents) -> float:
     return total
 
 
-def _survival_exponents(k: int) -> list[int]:
-    return [_binom(k + 1, i + 1) for i in range(1, k + 1)]
+def _log_scale(n: float, r: float, d: int, rho, k: int, l: int, j: int) -> float:
+    """log of prod p_i^e_i * n^{k+l+2-j} * r^{d(k+l+1-j)}, e_i = retention_exponent(k, l, j, i)."""
+    rho = list(rho)
+    if len(rho) < max(k, l):
+        raise ConfigurationError(f"rho of length {len(rho)} too short for k={k}, l={l}")
+    exponents = [retention_exponent(k, l, j, i) for i in range(1, max(k, l) + 1)]
+    return (
+        _log_rho_product(rho, exponents)
+        + (k + l + 2 - j) * math.log(n)
+        + d * (k + l + 1 - j) * _log_or_zero(r)
+    )
 
 
 def log_growth_quantity(n: float, r: float, d: int, rho, k: int) -> float:
-    """log of prod p_i^C(k+1,i+1) * n^{k+1} * r^{dk}."""
-    rho = list(rho)
-    if len(rho) < k:
-        raise ConfigurationError(f"rho of length {len(rho)} too short for k={k}")
-    return (
-        _log_rho_product(rho, _survival_exponents(k))
-        + (k + 1) * math.log(n)
-        + d * k * _log_or_zero(r)
-    )
+    """log of prod p_i^C(k+1,i+1) * n^{k+1} * r^{dk}: the scale of the pair (k, k, k + 1)."""
+    return _log_scale(n, r, d, rho, k, k, k + 1)
 
 
 @dataclass(frozen=True)
@@ -315,27 +337,19 @@ def predicted_moments(n: float, r: float, d: int, rho, k: int, l: int | None = N
     The k = 0 case uses the Poisson-process values: mean and variance both
     equal the region mass times n.
     """
-    face_kind = "mu" if flavor == "rips" else "nu"
-    pair_kind = "phi" if flavor == "rips" else "theta"
+    face_kind, pair_kind = _kind(flavor, False), _kind(flavor, True)
     if k == 0:
         mass = _find_constant(constants, face_kind, 0).value
         mean = variance = mass * n
     else:
         face = _find_constant(constants, face_kind, k).value
-        log_scale = log_growth_quantity(n, r, d, rho, k)
-        mean = variance = face * math.exp(log_scale)
+        mean = variance = face * math.exp(log_growth_quantity(n, r, d, rho, k))
     covariance = None
     if l is not None:
         covariance = 0.0
         for j in range(1, min(k, l) + 2):
             pair = _find_constant(constants, pair_kind, k, l, j).value
-            exps = [retention_exponent(k, l, j, i) for i in range(1, max(k, l) + 1)]
-            log_term = (
-                _log_rho_product(rho, exps)
-                + (k + l + 2 - j) * math.log(n)
-                + d * (k + l + 1 - j) * _log_or_zero(r)
-            )
-            covariance += pair * math.exp(log_term)
+            covariance += pair * math.exp(_log_scale(n, r, d, rho, k, l, j))
     return MomentPrediction(mean=mean, variance=variance, covariance=covariance)
 
 
@@ -388,16 +402,12 @@ def regime_check(n: float, r: float, d: int, rho, mode: tuple[str, int],
     quantities = {"nr^d": nrd}
     flags = {"sparse_ok": nrd < sparse_threshold}
     thresholds = {"sparse": sparse_threshold, "growth": growth_threshold}
-    if kind == "fk":
-        growth = math.exp(log_growth_quantity(n, r, d, rho, level))
-        quantities[f"growth_k{level}"] = growth
-        flags["growth_ok"] = growth > growth_threshold
-    else:
-        growth = math.exp(log_growth_quantity(n, r, d, rho, level))
+    growth = math.exp(log_growth_quantity(n, r, d, rho, level))
+    quantities[f"growth_{'k' if kind == 'fk' else 'l'}{level}"] = growth
+    flags["growth_ok"] = growth > growth_threshold
+    if kind == "chi":
         vanish = math.exp(log_growth_quantity(n, r, d, rho, level + 1))
-        quantities[f"growth_l{level}"] = growth
         quantities[f"vanish_l{level + 1}"] = vanish
-        flags["growth_ok"] = growth > growth_threshold
         flags["vanish_ok"] = vanish < vanish_threshold
         thresholds["vanish"] = vanish_threshold
     return RegimeReport(n=float(n), r=float(r), d=int(d), rho=rho, mode=kind,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.special import ndtr
 
-from .complexes import build_complex, euler_characteristic, face_counts
+from .complexes import _retention, build_complex, euler_characteristic, face_counts
 from .constants import log_growth_quantity, unit_ball_volume
 from .densities import Density, UniformBox, density_from_config
 from .errors import ConfigurationError, DegenerateSampleError, InputError, MemoryGuardError
@@ -49,6 +49,7 @@ class ExperimentConfig:
     rho_exponents: tuple | None = None  # p_i = n^(-b_i)
     region: RegionSpec = ALL_SPACE
     max_predicted_faces: float = DEFAULT_FACE_CAP
+    retention: tuple = field(init=False, repr=False)  # rho, or the rho_exponents rule, evaluated
 
     def __post_init__(self):
         if self.model not in ("rips", "cech"):
@@ -75,32 +76,20 @@ class ExperimentConfig:
         if density.dimension != self.d:
             raise ConfigurationError(f"density dimension {density.dimension} != d={self.d}")
         if self.rho is not None:
-            rho = tuple(float(p) for p in self.rho)
-            if any(not 0.0 <= p <= 1.0 for p in rho):
-                raise ConfigurationError("retention probabilities must lie in [0, 1]")
-            object.__setattr__(self, "rho", rho)
+            rho = self.rho
+        elif self.rho_exponents is not None:
+            rho = tuple(float(self.n ** (-b)) for b in self.rho_exponents)
+        else:
+            rho = (1.0,) * max(self.k_max, 1)
+        object.__setattr__(self, "retention", _retention(rho, self.k_max))
+        if self.rho is not None:
+            object.__setattr__(self, "rho", self.retention)
 
     @property
     def radius(self) -> float:
         if self.r is not None:
             return float(self.r)
         return float(self.n ** (-self.r_exponent / self.d))
-
-    @property
-    def retention(self) -> tuple:
-        if self.rho is not None:
-            rho = self.rho
-        elif self.rho_exponents is not None:
-            rho = tuple(float(self.n ** (-b)) for b in self.rho_exponents)
-        else:
-            rho = (1.0,) * max(self.k_max, 1)
-        if len(rho) < self.k_max:
-            raise ConfigurationError(
-                f"retention vector of length {len(rho)} too short for k_max={self.k_max}"
-            )
-        if any(not 0.0 <= p <= 1.0 for p in rho):
-            raise ConfigurationError("retention probabilities must lie in [0, 1] after rule evaluation")
-        return rho
 
     def to_config(self) -> dict:
         out = {
@@ -377,33 +366,19 @@ def clt_report(results: list[ReplicationResult], config: ExperimentConfig,
         moments = moment_diagnostics(z)
     except DegenerateSampleError:
         # constant statistic: report the degenerate sample instead of failing
-        return CltReport(
-            sample_size=len(samples),
-            empirical_mean=float(samples.mean()),
-            empirical_variance=0.0,
-            predicted_mean=predicted_mean,
-            predicted_variance=predicted_variance,
-            normalization=normalization,
-            z_scores=(),
-            ks_distance=math.nan,
-            skewness=math.nan,
-            excess_kurtosis=math.nan,
-            jarque_bera=math.nan,
-            variance_ratios=variance_ratio_report(results, config),
-        )
+        spread = dict(empirical_variance=0.0, z_scores=(), ks_distance=math.nan,
+                      skewness=math.nan, excess_kurtosis=math.nan, jarque_bera=math.nan)
+    else:
+        spread = dict(empirical_variance=float(samples.var(ddof=1)),
+                      z_scores=tuple(float(v) for v in z), ks_distance=ks_statistic(z), **moments)
     return CltReport(
         sample_size=len(samples),
         empirical_mean=float(samples.mean()),
-        empirical_variance=float(samples.var(ddof=1)),
         predicted_mean=predicted_mean,
         predicted_variance=predicted_variance,
         normalization=normalization,
-        z_scores=tuple(float(v) for v in z),
-        ks_distance=ks_statistic(z),
-        skewness=moments["skewness"],
-        excess_kurtosis=moments["excess_kurtosis"],
-        jarque_bera=moments["jarque_bera"],
         variance_ratios=variance_ratio_report(results, config),
+        **spread,
     )
 
 

@@ -106,6 +106,15 @@ def test_constants_pair_requires_l_and_j(tmp_path):
                  "--d", "1", "--samples", "100", "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_constants_rejects_nonpositive_samples_for_every_kind(tmp_path, samples):
+    out = tmp_path / "c.json"
+    for kind in ("mu", "nu", "phi", "theta"):
+        assert main(["constants", "--kind", kind, "--k", "1", "--l", "1", "--j", "1",
+                     "--d", "1", f"--samples={samples}", "--out", str(out)]) == 1
+        assert not out.exists()
+
+
 def test_experiment_run_and_report_round_trip(tmp_path):
     config = write_config(tmp_path / "exp.json")
     results = tmp_path / "res.csv"
@@ -123,6 +132,20 @@ def test_experiment_run_and_report_round_trip(tmp_path):
     qq = (tmp_path / "rep.qq.csv").read_text().strip().splitlines()
     assert qq[1] == "theoretical,empirical"
     assert len(qq) == 12
+
+
+@pytest.mark.parametrize("retention", [{"rho": [0.5]}, {"rho_exponents": [-0.5, 0.0, 0.0]}])
+def test_experiment_report_rejects_bad_retention_at_parse(tmp_path, retention):
+    # a rho too short for k_max, or a rule giving p_1 = 300^0.5 > 1
+    results = tmp_path / "res.csv"
+    report = tmp_path / "rep.json"
+    good = write_config(tmp_path / "good.json", k_max=3, rho=[0.5, 0.5, 0.5])
+    assert main(["experiment", "run", "--config", str(good), "--out", str(results)]) == 0
+    bad = write_config(tmp_path / "bad.json", k_max=3, **retention)
+    for command in (["run", "--out", str(tmp_path / "x.csv")],
+                    ["report", "--in", str(results), "--out", str(report)]):
+        assert main(["experiment", command[0], "--config", str(bad), *command[1:]]) == 1
+    assert not report.exists()
 
 
 def test_experiment_missing_config_exits_one(tmp_path):

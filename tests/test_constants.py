@@ -8,8 +8,10 @@ from softplex import (
     InputError,
     RegionSpec,
     UniformBox,
+    estimate_face_constant,
     estimate_mu,
     estimate_nu,
+    estimate_pair_constant,
     estimate_phi,
     estimate_theta,
     predicted_moments,
@@ -137,6 +139,42 @@ def test_theta_full_overlap_identity_with_nu():
     assert abs(nu.value - theta.value) <= 3.0 * joint
 
 
+@pytest.mark.parametrize("region", [None, "box"])
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("k", range(4))
+def test_face_constant_is_exactly_its_full_overlap_pair(k, d, region):
+    # equal seeds draw the same points, so the identity holds bit for bit
+    density = UNIT_1D if d == 1 else UNIT_2D
+    region = RegionSpec(kind="box", lo=[0.1] * d, hi=[0.9] * d) if region else RegionSpec("all")
+    kwargs = dict(region=region, samples=2000, seed=31)
+    for face, pair in ((estimate_mu, estimate_phi), (estimate_nu, estimate_theta)):
+        single = face(k, d, density, **kwargs)
+        full = pair(k, k, k + 1, d, density, **kwargs)
+        assert single.value == full.value
+        assert single.stderr == full.stderr
+        assert (single.l, single.j) == (None, None)
+
+
+@pytest.mark.parametrize("samples", [0, -5])
+def test_every_kind_rejects_nonpositive_samples(samples):
+    for estimate in (estimate_mu, estimate_nu):
+        with pytest.raises(InputError):
+            estimate(1, 1, UNIT_1D, samples=samples, seed=1)
+    for estimate in (estimate_phi, estimate_theta):
+        with pytest.raises(InputError):
+            estimate(1, 1, 1, 1, UNIT_1D, samples=samples, seed=1)
+
+
+def test_unknown_flavor_is_rejected():
+    with pytest.raises(ConfigurationError, match="flavor"):
+        estimate_face_constant(2, 2, UNIT_2D, samples=100, flavor="Rips")
+    with pytest.raises(ConfigurationError, match="flavor"):
+        estimate_pair_constant(1, 1, 1, 2, UNIT_2D, samples=100, flavor="ball")
+    nu1 = estimate_nu(1, 1, UNIT_1D, samples=100, seed=1)
+    with pytest.raises(ConfigurationError, match="flavor"):
+        predicted_moments(1e4, 1e-4, 1, (1.0,), k=1, constants=[nu1], flavor="Rips")
+
+
 def _phi_quadrature_oracle_d1(k, l, j, cells=801):
     """Dense midpoint quadrature for the two-clique indicator in d=1."""
     m = k + l + 1 - j
@@ -211,6 +249,18 @@ def test_predicted_moments_covariance_term():
     assert pred.covariance == pytest.approx(expect, rel=1e-9)
     with pytest.raises(ConfigurationError):
         predicted_moments(n, r, d, (0.5,), k=1, l=1, constants=[mu2, phi1])
+
+
+def test_predicted_covariance_needs_every_retention_factor():
+    # l = 2 needs p_1 and p_2; a missing p_2 must not be read as 1
+    n, d, r = 1e4, 1, 1e-4
+    constants = [estimate_mu(1, 1, UNIT_1D, samples=1000, seed=25)]
+    constants += [estimate_phi(1, 2, j, 1, UNIT_1D, samples=1000, seed=26) for j in (1, 2)]
+    full = predicted_moments(n, r, d, (0.5, 1.0), k=1, l=2, constants=constants)
+    thinned = predicted_moments(n, r, d, (0.5, 0.01), k=1, l=2, constants=constants)
+    assert thinned.covariance < full.covariance
+    with pytest.raises(ConfigurationError, match="too short"):
+        predicted_moments(n, r, d, (0.5,), k=1, l=2, constants=constants)
 
 
 def test_regime_check_fail_when_dense():

@@ -268,6 +268,14 @@ def test_config_validation():
         small_config(model="alpha")
 
 
+def test_retention_is_checked_at_parse_time():
+    raw = small_config(k_max=3).to_config()
+    for retention in ({"rho": [0.5]}, {"rho_exponents": [-0.5, 0.0, 0.0]}):
+        with pytest.raises(ConfigurationError):
+            config_from_dict({**raw, **retention})
+    assert config_from_dict({**raw, "rho": [0.5, 0.5, 0.5]}).retention == (0.5, 0.5, 0.5)
+
+
 def test_rho_exponent_rule():
     config = small_config(rho=None, rho_exponents=(0.25, 0.5))
     n = config.n
