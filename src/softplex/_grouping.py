@@ -1,16 +1,29 @@
 """Index arithmetic for generating pairs out of grouped, sorted arrays.
 
 These helpers are the vectorized core of the grid neighbor search and the
-clique join: given group boundaries inside a sorted array they emit all
-within-group index pairs (i < j) or all cross-group index pairs without a
-Python-level loop over elements.
+clique join.  One ragged-range primitive, `_ragged`, numbers the elements of
+consecutive groups of given sizes: each element's group and its offset
+inside the group.  On it, `pairs_within_groups` emits all within-group
+position pairs (i < j) and `pairs_across_groups` all cross pairs of matched
+groups, without a Python-level loop over elements.  One sorted-key lookup,
+`_find`, serves the grid's batched neighbour-cell pass and the clique
+join's row-code lookups.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_EMPTY_PAIR = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+
+def _ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group index and offset inside the group of every element of consecutive groups.
+
+    Group g holds ``sizes[g]`` elements, so both arrays have ``sizes.sum()``
+    entries and the offsets run 0 .. sizes[g] - 1 inside group g.
+    """
+    group = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    first = np.cumsum(sizes) - sizes
+    return group, np.arange(group.size, dtype=np.int64) - first[group]
 
 
 def pairs_within_groups(starts: np.ndarray, counts: np.ndarray):
@@ -21,19 +34,11 @@ def pairs_within_groups(starts: np.ndarray, counts: np.ndarray):
     """
     starts = np.asarray(starts, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
-    total = int(counts.sum())
-    if total == 0:
-        return _EMPTY_PAIR
-    ends = np.repeat(starts + counts, counts)  # per-element group end
-    positions = _concatenated_ranges(starts, counts)
-    rights_per_left = ends - positions - 1
-    if rights_per_left.sum() == 0:
-        return _EMPTY_PAIR
-    lefts = np.repeat(positions, rights_per_left)
-    offsets = np.concatenate([[0], np.cumsum(rights_per_left)])
-    block = np.repeat(np.arange(positions.size, dtype=np.int64), rights_per_left)
-    rights = np.arange(offsets[-1], dtype=np.int64) - offsets[block] + lefts + 1
-    return lefts, rights
+    group, local = _ragged(counts)
+    rights_per_left = counts[group] - local - 1
+    lefts = np.repeat(starts[group] + local, rights_per_left)
+    _, step = _ragged(rights_per_left)
+    return lefts, lefts + step + 1
 
 
 def pairs_across_groups(starts_a, counts_a, starts_b, counts_b):
@@ -42,26 +47,17 @@ def pairs_across_groups(starts_a, counts_a, starts_b, counts_b):
     counts_a = np.asarray(counts_a, dtype=np.int64)
     starts_b = np.asarray(starts_b, dtype=np.int64)
     counts_b = np.asarray(counts_b, dtype=np.int64)
-    sizes = counts_a * counts_b
-    total = int(sizes.sum())
-    if total == 0:
-        return _EMPTY_PAIR
-    group = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    local = np.arange(total, dtype=np.int64) - offsets[group]
-    lefts = starts_a[group] + local // counts_b[group]
-    rights = starts_b[group] + local % counts_b[group]
-    return lefts, rights
+    group, local = _ragged(counts_a * counts_b)
+    row, col = np.divmod(local, counts_b[group])
+    return starts_a[group] + row, starts_b[group] + col
 
 
-def _concatenated_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenation of arange(start, start+count) for every group."""
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    group = np.repeat(np.arange(starts.size, dtype=np.int64), counts)
-    offsets = np.concatenate([[0], np.cumsum(counts)])
-    return starts[group] + np.arange(total, dtype=np.int64) - offsets[group]
+def _find(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each key is in a sorted int64 table, and its insertion index."""
+    index = np.searchsorted(table, keys)
+    if table.size == 0:
+        return np.zeros(keys.shape, dtype=bool), index
+    return table.take(index, mode="clip") == keys, index
 
 
 def group_boundaries(sorted_keys: np.ndarray):

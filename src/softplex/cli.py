@@ -23,9 +23,10 @@ from scipy.special import ndtri
 from .complexes import build_complex
 from .constants import _estimate, regime_check
 from .densities import UniformBox, GaussianIsotropic, density_from_config
-from .errors import ConfigurationError, InputError, MemoryGuardError, SoftplexError
+from .errors import ConfigurationError, MemoryGuardError, SoftplexError
 from .geometry import ALL_SPACE, build_graph, region_from_config
 from .experiments import (
+    ReplicationResult,
     clt_report,
     config_from_dict,
     run_experiment,
@@ -194,8 +195,6 @@ def _read_results_csv(path: str):
 
 
 def _cmd_experiment_report(args) -> int:
-    from .experiments import ReplicationResult
-
     config = _resolved_config(args)
     header, rows = _read_results_csv(args.results)
     expected = ["rep"] + [f"f{k}" for k in range(config.k_max + 1)] + ["chi", "n_points"]
@@ -336,10 +335,7 @@ def main(argv=None) -> int:
     except MemoryGuardError as exc:
         log.error("refused: %s", exc)
         return 2
-    except (ConfigurationError, InputError, json.JSONDecodeError) as exc:
-        log.error("%s", exc)
-        return 1
-    except SoftplexError as exc:
+    except (SoftplexError, json.JSONDecodeError) as exc:
         log.error("%s", exc)
         return 1
 

@@ -16,10 +16,11 @@ is lex-sorted.
 Faces are looked up by int64 row codes.  A k-face's code is (row index of
 its first k vertices among the (k-1)-faces) * n + its last vertex, and a
 vertex is its own index.  The codes of a lex-sorted table increase with the
-row, so a `searchsorted` per vertex finds a tuple and its row, and a
-code stays below (number of (k-1)-faces) * n; a mixed-radix code n^(k+1)
-would overflow int64 at n = 250k and k = 3.  The join's subface check, the
-eligibility test of `soft_thin` and `downward_closed` share this lookup.
+row, so one sorted-key lookup per vertex, `_grouping._find`, finds a tuple
+and its row, and a code stays below (number of (k-1)-faces) * n; a
+mixed-radix code n^(k+1) would overflow int64 at n = 250k and k = 3.  The
+join's subface check, the eligibility test of `soft_thin` and
+`downward_closed` share this lookup with the grid graph.
 
 The ball-intersection filter and the ball-flavor constants share one batched
 kernel, `_min_ball_radii`, for the smallest-enclosing-ball radius of a
@@ -52,7 +53,7 @@ from itertools import combinations
 
 import numpy as np
 
-from ._grouping import group_boundaries, pairs_within_groups
+from ._grouping import _find, group_boundaries, pairs_within_groups
 from .errors import ConfigurationError, InputError
 from .geometry import GeometricGraph, RegionSpec, ALL_SPACE, build_graph, region_mask
 from .point_process import PointCloud
@@ -100,14 +101,6 @@ def _retention(rho, top: int) -> tuple:
     if any(not 0.0 <= p <= 1.0 for p in rho):
         raise ConfigurationError("retention probabilities must lie in [0, 1]")
     return rho
-
-
-def _find(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Whether each key is in a sorted int64 table, and its insertion index."""
-    index = np.searchsorted(table, keys)
-    if table.size == 0:
-        return np.zeros(keys.shape, dtype=bool), index
-    return table.take(index, mode="clip") == keys, index
 
 
 def _locate(codes: list, planes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

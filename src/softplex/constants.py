@@ -221,10 +221,12 @@ def _kind(flavor: str, pair: bool) -> str:
 def _estimate(kind: str, k: int, l: int | None, j: int | None, d: int, density: Density,
               region: RegionSpec, samples: int, seed: int,
               threads: int | None) -> ConstantEstimate:
-    """Any constant kind; a face constant (l and j ignored) is the pair (k, k, k + 1)."""
+    """Any constant kind; a face constant (no l or j) is the pair (k, k, k + 1)."""
     flavor, pair = _KINDS[kind]
     if pair and (l is None or j is None):
         raise ConfigurationError(f"kind {kind!r} requires l and j")
+    if not pair and (l is not None or j is not None):
+        raise ConfigurationError(f"kind {kind!r} takes no l or j")
     l, j = (l, j) if pair else (k, k + 1)
     if k < 0 or l < 0:
         raise InputError("face dimensions must be nonnegative")

@@ -220,7 +220,7 @@ def replicate_once(config: ExperimentConfig, index: int) -> ReplicationResult:
 
 
 def run_experiment(config: ExperimentConfig, threads: int | None = None) -> list[ReplicationResult]:
-    """All replications, parallel over a thread pool, sorted by index."""
+    """All replications in index order, parallel over a thread pool."""
     bound = predicted_face_bound(config)
     if bound > config.max_predicted_faces:
         raise MemoryGuardError(
@@ -229,11 +229,9 @@ def run_experiment(config: ExperimentConfig, threads: int | None = None) -> list
         )
     indices = range(config.replications)
     if threads is not None and threads <= 1:
-        results = [replicate_once(config, i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(lambda i: replicate_once(config, i), indices))
-    return sorted(results, key=lambda res: res.index)
+        return [replicate_once(config, i) for i in indices]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(lambda i: replicate_once(config, i), indices))
 
 
 def statistic_samples(results: list[ReplicationResult], config: ExperimentConfig) -> np.ndarray:

@@ -5,7 +5,10 @@ The geometric graph joins two points whenever their distance is at most r
 the sorted order offset by offset: a position stays a candidate for offset
 k only while its pair at offset k - 1 was within r.  In d >= 2 it bins
 points into a uniform grid of cell side just over r, so only same-cell and
-adjacent-cell pairs are examined.  Either way the sparse regime costs
+adjacent-cell pairs are examined.  One batched neighbour-cell pass looks up
+the occupied cells at every positive offset in a single `_find` call, and
+the ragged-range helpers of `_grouping` emit the same-cell and cross-cell
+candidate pairs.  Either way the sparse regime costs
 O(n log n + candidate pairs).  Every path returns its edges sorted by the
 int64 code lo * n + hi.  A quadratic reference implementation is kept
 alongside as the correctness oracle.
@@ -14,12 +17,13 @@ alongside as the correctness oracle.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ._grouping import group_boundaries, pairs_across_groups, pairs_within_groups
+from ._grouping import _find, group_boundaries, pairs_across_groups, pairs_within_groups
 from .errors import ConfigurationError, InputError
 from .point_process import PointCloud
 
@@ -70,14 +74,14 @@ def threshold_pairs_bruteforce(points: np.ndarray, r: float) -> np.ndarray:
     return _sort_pairs(ii.astype(np.int64), jj.astype(np.int64), n)
 
 
-def _positive_offsets(d: int):
-    """Nonzero offsets in {-1,0,1}^d whose first nonzero entry is +1."""
+def _positive_offsets(d: int) -> np.ndarray:
+    """Nonzero offsets in {-1,0,1}^d whose first nonzero entry is +1, one per row."""
     out = []
     for delta in itertools.product((-1, 0, 1), repeat=d):
         nonzero = [v for v in delta if v != 0]
         if nonzero and nonzero[0] == 1:
             out.append(delta)
-    return out
+    return np.array(out, dtype=np.int64)
 
 
 def _threshold_pairs_sweep(x: np.ndarray, r: float) -> np.ndarray:
@@ -134,42 +138,23 @@ def threshold_pairs_grid(points: np.ndarray, r: float) -> np.ndarray:
             "coordinate span exceeds 2^30 * r on some axis; the grid cannot index it exactly"
         )
     cells = np.floor((points - lo) / (r * _CELL_SLACK)).astype(np.int64) + 1  # pad for -1 offsets
-    extents = cells.max(axis=0) + 2
-    strides = np.ones(d, dtype=object)
-    for axis in range(d - 2, -1, -1):
-        strides[axis] = strides[axis + 1] * int(extents[axis + 1])
-    if int(strides[0]) * int(extents[0]) >= 2**62:
+    extents = [int(e) + 2 for e in cells.max(axis=0)]
+    if math.prod(extents) >= 2**62:
         raise ConfigurationError("grid too fine for 64-bit cell keys; reduce 1/r or d")
-    strides = strides.astype(np.int64)
+    strides = np.array([math.prod(extents[axis + 1:]) for axis in range(d)], dtype=np.int64)
     keys = cells @ strides
 
     order = np.argsort(keys)
-    sorted_keys = keys[order]
-    starts, sizes, group_keys = group_boundaries(sorted_keys)
-
-    left_parts = []
-    right_parts = []
+    starts, sizes, group_keys = group_boundaries(keys[order])
+    # Offset-major targets keep each row of lookups sorted, so the binary searches stay
+    # cache friendly.
+    hit, pos = _find(group_keys, group_keys[None, :] + (_positive_offsets(d) @ strides)[:, None])
+    src = np.nonzero(hit)[1]
+    dst = pos[hit]
     li, ri = pairs_within_groups(starts, sizes)
-    left_parts.append(li)
-    right_parts.append(ri)
-    for delta in _positive_offsets(d):
-        shift = int(np.dot(delta, strides))
-        target = group_keys + shift
-        pos = np.searchsorted(group_keys, target)
-        pos_clipped = np.minimum(pos, len(group_keys) - 1)
-        hit = group_keys[pos_clipped] == target
-        if not hit.any():
-            continue
-        li, ri = pairs_across_groups(
-            starts[hit], sizes[hit], starts[pos_clipped[hit]], sizes[pos_clipped[hit]]
-        )
-        left_parts.append(li)
-        right_parts.append(ri)
-
-    cand_i = order[np.concatenate(left_parts)]
-    cand_j = order[np.concatenate(right_parts)]
-    if cand_i.size == 0:
-        return _NO_EDGES.copy()
+    lj, rj = pairs_across_groups(starts[src], sizes[src], starts[dst], sizes[dst])
+    cand_i = order[np.concatenate([li, lj])]
+    cand_j = order[np.concatenate([ri, rj])]
     diff = points[cand_i] - points[cand_j]
     close = np.einsum("ij,ij->i", diff, diff) <= r * r
     return _sort_pairs(cand_i[close], cand_j[close], n)

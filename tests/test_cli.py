@@ -106,12 +106,20 @@ def test_constants_pair_requires_l_and_j(tmp_path):
                  "--d", "1", "--samples", "100", "--out", str(out)]) == 0
 
 
+def test_constants_face_kind_refuses_l_and_j(tmp_path):
+    out = tmp_path / "mu.json"
+    assert main(["constants", "--kind", "mu", "--k", "1", "--l", "7", "--j", "9", "--d", "1",
+                 "--samples", "100", "--out", str(out)]) == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples", ["0", "-5"])
 def test_constants_rejects_nonpositive_samples_for_every_kind(tmp_path, samples):
     out = tmp_path / "c.json"
-    for kind in ("mu", "nu", "phi", "theta"):
-        assert main(["constants", "--kind", kind, "--k", "1", "--l", "1", "--j", "1",
-                     "--d", "1", f"--samples={samples}", "--out", str(out)]) == 1
+    for kind, pair in (("mu", []), ("nu", []), ("phi", ["--l", "1", "--j", "1"]),
+                       ("theta", ["--l", "1", "--j", "1"])):
+        assert main(["constants", "--kind", kind, "--k", "1", *pair, "--d", "1",
+                     f"--samples={samples}", "--out", str(out)]) == 1
         assert not out.exists()
 
 

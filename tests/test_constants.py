@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from softplex import (
+    ALL_SPACE,
     ConfigurationError,
     InputError,
     RegionSpec,
@@ -19,7 +20,7 @@ from softplex import (
     retention_exponent,
     unit_ball_volume,
 )
-from softplex.constants import _sample_unit_ball, _tuple_indicator, log_growth_quantity
+from softplex.constants import _estimate, _sample_unit_ball, _tuple_indicator, log_growth_quantity
 
 UNIT_1D = UniformBox(lo=[0.0], hi=[1.0])
 UNIT_2D = UniformBox(lo=[0.0, 0.0], hi=[1.0, 1.0])
@@ -163,6 +164,13 @@ def test_every_kind_rejects_nonpositive_samples(samples):
     for estimate in (estimate_phi, estimate_theta):
         with pytest.raises(InputError):
             estimate(1, 1, 1, 1, UNIT_1D, samples=samples, seed=1)
+
+
+def test_face_kinds_refuse_pair_arguments():
+    for kind in ("mu", "nu"):
+        for l, j in ((7, 9), (1, None), (None, 2)):
+            with pytest.raises(ConfigurationError, match="takes no l or j"):
+                _estimate(kind, 1, l, j, 1, UNIT_1D, ALL_SPACE, 100, 1, 1)
 
 
 def test_unknown_flavor_is_rejected():

@@ -47,10 +47,10 @@ GRID = st.integers(-(2**20), 2**20).map(lambda k: k / 2**20)
 
 @st.composite
 def threshold_instances(draw):
-    """A cloud of 0..60 points in d = 1..3 and a radius, of one kind: random,
+    """A cloud of 0..60 points in d = 1..4 and a radius, of one kind: random,
     tied (duplicates, coordinate ties, pairs exactly r apart) or runs spaced
     exactly r apart along one axis; shifted by an offset that may be negative."""
-    d, n = draw(st.integers(1, 3)), draw(st.integers(0, 60))
+    d, n = draw(st.integers(1, 4)), draw(st.integers(0, 60))
     r = draw(st.sampled_from([0.125, 0.25, 0.3, 1.0]))
     kind = draw(st.sampled_from(["random", "ties", "runs"]))
 
@@ -92,6 +92,13 @@ def test_far_offset_pair_is_found_or_refused():
     # Within the grid's span bound (here 2^29 * r) the pair is found.
     plane[1:, 0] = [2.0**-30, 2.0**-30 + 2.0**-31]
     assert threshold_pairs_grid(plane, 2.0**-29).tolist() == [[1, 2]]
+
+
+def test_cell_keys_beyond_int64_are_refused():
+    # 2^25 * r per axis passes the span guard, but (2^25 + 3)^3 cells exceed 2^62.
+    pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+    with pytest.raises(ConfigurationError, match="64-bit cell keys"):
+        threshold_pairs_grid(pts, 2.0**-25)
 
 
 def test_edge_list_sorted_and_duplicate_free():
