@@ -58,6 +58,8 @@ from .constants import (
     estimate_pair_constant,
     estimate_phi,
     estimate_theta,
+    poisson_d1_ratios,
+    poisson_unit_square_mean_f1,
     predicted_moments,
     regime_check,
     retention_exponent,

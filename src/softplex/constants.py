@@ -21,7 +21,9 @@ in log space from (n, r, rho) plus estimated constants, through one scale
 prod_i p_i^{e_i} * n^{k+l+2-j} * r^{d(k+l+1-j)} with e_i the joint
 retention exponent; the face growth quantity is its (k, k, k + 1) case.  It
 also checks regime hypotheses (sparsity, growth, vanishing of higher faces)
-against finite-size proxy thresholds.
+against finite-size proxy thresholds.  Two exact finite-n forms for Poisson
+clouds of the uniform density, E f1 on the unit square and the d = 1
+variance and covariance ratios, are kept next to the asymptotic ones.
 """
 
 from __future__ import annotations
@@ -353,6 +355,35 @@ def predicted_moments(n: float, r: float, d: int, rho, k: int, l: int | None = N
             pair = _find_constant(constants, pair_kind, k, l, j).value
             covariance += pair * math.exp(_log_scale(n, r, d, rho, k, l, j))
     return MomentPrediction(mean=mean, variance=variance, covariance=covariance)
+
+
+def poisson_unit_square_mean_f1(n: float, r: float) -> float:
+    """Exact E f1 of the threshold graph on a Poisson(n) cloud on [0, 1]^2, for 0 < r <= 1.
+
+    By the Mecke formula E f1 = n^2 / 2 * P(|X - Y| <= r) for independent
+    uniform X, Y on the unit square, and that probability is
+    pi r^2 - 8 r^3 / 3 + r^4 / 2 for r <= 1.  The infinite-domain value
+    n^2 pi r^2 / 2 ignores the boundary and overshoots it.
+    """
+    if not 0 < r <= 1:
+        raise InputError(f"the unit-square form needs 0 < r <= 1, got {r}")
+    return n * n / 2.0 * (math.pi * r * r - 8.0 * r**3 / 3.0 + r**4 / 2.0)
+
+
+def poisson_d1_ratios(n: float, r: float) -> tuple[float, float]:
+    """Exact var(f1)/var(f0) and cov(f1,f0)/var(f0) for a Poisson(n) cloud on [0, 1], r <= 1/2.
+
+    var(f0) = n and E f1 = n^2 (2r - r^2) / 2.  By the Mecke formula
+    cov(f1, f0) = 2 E f1.  f1 is a U-statistic of order 2, so
+    var(f1) = E f1 + n^3 int_0^1 l(x)^2 dx, where l(x) = |[x-r, x+r] & [0, 1]|
+    and int l^2 = 4r^2 - 10r^3/3 for r <= 1/2.
+    """
+    if not 0 < r <= 0.5:
+        raise InputError(f"the d = 1 ratio forms need 0 < r <= 1/2, got {r}")
+    mean_f1 = n * n * (2.0 * r - r * r) / 2.0
+    var_ratio = mean_f1 / n + n * n * (4.0 * r * r - 10.0 * r**3 / 3.0)
+    cov_ratio = 2.0 * mean_f1 / n
+    return var_ratio, cov_ratio
 
 
 @dataclass(frozen=True)

@@ -5,13 +5,16 @@ The geometric graph joins two points whenever their distance is at most r
 the sorted order offset by offset: a position stays a candidate for offset
 k only while its pair at offset k - 1 was within r.  In d >= 2 it bins
 points into a uniform grid of cell side just over r, so only same-cell and
-adjacent-cell pairs are examined.  One batched neighbour-cell pass looks up
-the occupied cells at every positive offset in a single `_find` call, and
-the ragged-range helpers of `_grouping` emit the same-cell and cross-cell
-candidate pairs.  Either way the sparse regime costs
-O(n log n + candidate pairs).  Every path returns its edges sorted by the
-int64 code lo * n + hi.  A quadratic reference implementation is kept
-alongside as the correctness oracle.
+adjacent-cell pairs are examined.  The cell keys come from the coordinates
+as (d, n) planes, one contiguous row per axis.  One batched neighbour-cell
+pass looks up the occupied cells at every positive offset in a single
+`_find` call, and the ragged-range helpers of `_grouping` emit the
+same-cell and cross-cell candidate pairs as positions in cell order.  The
+rows are permuted into that order once, so the distance test gathers
+nearby rows, and only the pairs that pass are mapped back to vertex labels.
+Either way the sparse regime costs O(n log n + candidate pairs).  Every
+path returns its edges sorted by the int64 code lo * n + hi.  A quadratic
+reference implementation is kept alongside as the correctness oracle.
 """
 
 from __future__ import annotations
@@ -126,38 +129,46 @@ _MAX_SPAN_CELLS = 2.0**30
 
 
 def threshold_pairs_grid(points: np.ndarray, r: float) -> np.ndarray:
-    """All pairs at distance <= r: a sort-and-sweep in d = 1, a uniform grid in d >= 2."""
+    """All pairs at distance <= r: a sort-and-sweep in d = 1, a uniform grid in d >= 2.
+
+    The grid reads the coordinates as (d, n) planes for the bounds, the span
+    guard and the cell keys, and builds each key by adding the axis's cell
+    index times its stride, one plane at a time.  Candidates are positions in
+    the cell-sorted order; the closed test runs on rows gathered from a copy
+    of the points permuted into that order, and the surviving pairs are
+    mapped back to vertex labels.
+    """
     n, d = points.shape
     if n < 2:
         return _NO_EDGES.copy()
     if d == 1:
         return _threshold_pairs_sweep(points[:, 0], r)
-    lo = points.min(axis=0)
-    if not np.all((points.max(axis=0) - lo) / r < _MAX_SPAN_CELLS):
+    planes = points.T.astype(np.float64, order="C")  # (d, n): one contiguous row per axis
+    lo = planes.min(axis=1)
+    span = planes.max(axis=1) - lo
+    if not np.all(span / r < _MAX_SPAN_CELLS):
         raise ConfigurationError(
             "coordinate span exceeds 2^30 * r on some axis; the grid cannot index it exactly"
         )
-    cells = np.floor((points - lo) / (r * _CELL_SLACK)).astype(np.int64) + 1  # pad for -1 offsets
-    extents = [int(e) + 2 for e in cells.max(axis=0)]
+    extents = [int(e) + 3 for e in np.floor(span / (r * _CELL_SLACK))]  # floor is monotone
     if math.prod(extents) >= 2**62:
         raise ConfigurationError("grid too fine for 64-bit cell keys; reduce 1/r or d")
-    strides = np.array([math.prod(extents[axis + 1:]) for axis in range(d)], dtype=np.int64)
-    keys = cells @ strides
-
+    strides = [math.prod(extents[axis + 1:]) for axis in range(d)]
+    cells = np.floor((planes - lo[:, None]) / (r * _CELL_SLACK)).astype(np.int64)
+    keys = sum(strides) + sum(cells[axis] * strides[axis] for axis in range(d))  # cells from 1
+    del planes, cells  # freed before the candidate arrays, which set the peak memory
     order = np.argsort(keys)
     starts, sizes, group_keys = group_boundaries(keys[order])
-    # Offset-major targets keep each row of lookups sorted, so the binary searches stay
-    # cache friendly.
+    # Offset-major targets keep each row of lookups sorted, so the searches stay cache friendly.
     hit, pos = _find(group_keys, group_keys[None, :] + (_positive_offsets(d) @ strides)[:, None])
-    src = np.nonzero(hit)[1]
-    dst = pos[hit]
+    src, dst = np.nonzero(hit)[1], pos[hit]
     li, ri = pairs_within_groups(starts, sizes)
     lj, rj = pairs_across_groups(starts[src], sizes[src], starts[dst], sizes[dst])
-    cand_i = order[np.concatenate([li, lj])]
-    cand_j = order[np.concatenate([ri, rj])]
-    diff = points[cand_i] - points[cand_j]
+    ci, cj = np.concatenate([li, lj]), np.concatenate([ri, rj])  # positions in cell order
+    rows = points.take(order, axis=0)
+    diff = rows.take(ci, axis=0) - rows.take(cj, axis=0)
     close = np.einsum("ij,ij->i", diff, diff) <= r * r
-    return _sort_pairs(cand_i[close], cand_j[close], n)
+    return _sort_pairs(order[ci[close]], order[cj[close]], n)
 
 
 def build_graph(cloud: PointCloud, r: float, *, seed: int | None = None) -> GeometricGraph:

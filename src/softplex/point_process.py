@@ -29,6 +29,8 @@ class PointCloud:
         pts = np.ascontiguousarray(self.points, dtype=np.float64)
         if pts.ndim != 2:
             raise InputError("points must be a (count, d) array")
+        if not np.isfinite(pts).all():
+            raise InputError("points must have finite coordinates; got NaN or infinity")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 

@@ -24,6 +24,7 @@ from softplex import (
     min_enclosing_ball_radius,
     moment_diagnostics,
     normalize,
+    poisson_d1_ratios,
     regime_check,
     rips_bruteforce,
     run_experiment,
@@ -252,20 +253,6 @@ def poisson_trend_runs():
         )
         out[n] = (config, run_experiment(config))
     return out
-
-
-def poisson_d1_ratios(n: float, r: float) -> tuple[float, float]:
-    """Exact var(f1)/var(f0) and cov(f1,f0)/var(f0) for a Poisson(n) cloud on [0, 1].
-
-    var(f0) = n and E f1 = n^2 (2r - r^2) / 2.  By the Mecke formula
-    cov(f1, f0) = 2 E f1.  f1 is a U-statistic of order 2, so
-    var(f1) = E f1 + n^3 int_0^1 l(x)^2 dx, where l(x) = |[x-r, x+r] & [0, 1]|
-    and int l^2 = 4r^2 - 10r^3/3 for r <= 1/2.
-    """
-    mean_f1 = n * n * (2.0 * r - r * r) / 2.0
-    var_ratio = mean_f1 / n + n * n * (4.0 * r * r - 10.0 * r**3 / 3.0)
-    cov_ratio = 2.0 * mean_f1 / n
-    return var_ratio, cov_ratio
 
 
 def bootstrap_ratios(results, rng, resamples: int) -> np.ndarray:

@@ -24,6 +24,8 @@ from softplex import (
     ks_statistic,
     moment_diagnostics,
     normalize,
+    poisson_d1_ratios,
+    poisson_unit_square_mean_f1,
     predicted_moments,
     run_experiment,
     sample_binomial,
@@ -113,6 +115,29 @@ def test_empirical_mean_matches_prediction():
                              constants=[mu2])
     stderr = samples.std(ddof=1) / math.sqrt(len(samples))
     assert abs(samples.mean() - pred.mean) <= 3.0 * stderr
+
+
+def test_d2_edge_count_matches_exact_unit_square_mean_and_is_normal():
+    # Rips f1 on the unit square (Penrose 2003, ch. 3).  The exact finite-n mean
+    # keeps the boundary term, which the infinite-domain value n^2 pi r^2 / 2
+    # misses by about 14 standard errors here.
+    config = ExperimentConfig(model="rips", process="poisson", n=10_000, d=2, k_max=1,
+                              replications=200, master_seed=2002, statistic=("fk", 1), r=0.02)
+    f1 = statistic_samples(run_experiment(config), config)
+    stderr = f1.std(ddof=1) / math.sqrt(len(f1))
+    exact = poisson_unit_square_mean_f1(config.n, config.radius)
+    infinite_domain = config.n**2 * math.pi * config.radius**2 / 2.0
+    assert abs(f1.mean() - exact) <= 3.0 * stderr
+    assert abs(f1.mean() - infinite_domain) > 6.0 * stderr
+    assert ks_statistic(normalize(f1)) < kolmogorov_threshold(len(f1))
+
+
+def test_exact_form_domains_are_checked():
+    assert poisson_unit_square_mean_f1(2.0, 1.0) == pytest.approx(2.0 * (math.pi - 8 / 3 + 0.5))
+    with pytest.raises(InputError):
+        poisson_unit_square_mean_f1(100.0, 1.5)
+    with pytest.raises(InputError):
+        poisson_d1_ratios(100.0, 0.6)
 
 
 def test_poisson_vertex_count_variance():

@@ -16,6 +16,8 @@ from softplex import (
     threshold_pairs_bruteforce,
     threshold_pairs_grid,
 )
+from softplex._grouping import _find, group_boundaries, pairs_across_groups, pairs_within_groups
+from softplex.geometry import _CELL_SLACK, _positive_offsets, _sort_pairs
 
 
 def cloud_from(points):
@@ -78,6 +80,54 @@ def test_grid_matches_bruteforce_on_random_instances(case):
     assert edges.dtype == np.int64 and edges.shape == (edges.shape[0], 2)
     assert np.all(edges[:, 0] < edges[:, 1])
     assert np.all(np.diff(edges[:, 0] * n + edges[:, 1]) > 0)
+
+
+def label_ordered_grid(points, r):
+    """The d >= 2 grid as it was before cell-ordered gathers, frozen as a reference.
+
+    It builds cell keys with an (n, d) @ strides product and tests each candidate
+    by gathering both rows by vertex label.  Guards are left to the tested code.
+    """
+    n, d = points.shape
+    lo = points.min(axis=0)
+    cells = np.floor((points - lo) / (r * _CELL_SLACK)).astype(np.int64) + 1
+    extents = [int(e) + 2 for e in cells.max(axis=0)]
+    strides = np.array([math.prod(extents[axis + 1:]) for axis in range(d)], dtype=np.int64)
+    keys = cells @ strides
+    order = np.argsort(keys)
+    starts, sizes, group_keys = group_boundaries(keys[order])
+    hit, pos = _find(group_keys, group_keys[None, :] + (_positive_offsets(d) @ strides)[:, None])
+    src = np.nonzero(hit)[1]
+    dst = pos[hit]
+    li, ri = pairs_within_groups(starts, sizes)
+    lj, rj = pairs_across_groups(starts[src], sizes[src], starts[dst], sizes[dst])
+    cand_i = order[np.concatenate([li, lj])]
+    cand_j = order[np.concatenate([ri, rj])]
+    diff = points[cand_i] - points[cand_j]
+    close = np.einsum("ij,ij->i", diff, diff) <= r * r
+    return _sort_pairs(cand_i[close], cand_j[close], n)
+
+
+def clustered_with_outlier(rng, n, d):
+    """A tight cluster of n - 1 points and one point far away on every axis."""
+    pts = 0.5 + 0.01 * rng.standard_normal((n, d))
+    pts[-1] = 40.0
+    return pts
+
+
+@pytest.mark.parametrize(("d", "r", "kind"), [
+    (2, 0.005, "uniform"), (2, 0.08, "uniform"),
+    (3, 0.02, "uniform"), (3, 0.15, "uniform"),
+    (2, 0.001, "clustered"), (3, 0.004, "clustered"),
+])
+def test_grid_matches_label_ordered_reference(d, r, kind):
+    # Sparse and dense ends at n = 2000; the outlier stretches the grid far past the cluster.
+    rng = np.random.default_rng(2000 + 10 * d)
+    pts = rng.random((2000, d)) if kind == "uniform" else clustered_with_outlier(rng, 2000, d)
+    edges = threshold_pairs_grid(pts, r)
+    reference = label_ordered_grid(pts, r)
+    assert edges.shape[0] > 0
+    assert edges.dtype == reference.dtype and edges.tobytes() == reference.tobytes()
 
 
 def test_far_offset_pair_is_found_or_refused():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from softplex import InputError, UniformBox, sample_binomial, sample_poisson
+from softplex import InputError, PointCloud, UniformBox, sample_binomial, sample_poisson
 
 UNIT_1D = UniformBox(lo=[0.0], hi=[1.0])
 UNIT_2D = UniformBox(lo=[0.0, 0.0], hi=[1.0, 1.0])
@@ -95,3 +95,14 @@ def test_clouds_are_immutable():
     cloud = sample_binomial(10, UNIT_1D, seed=1)
     with pytest.raises(ValueError):
         cloud.points[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("d", [1, 2])
+def test_non_finite_coordinates_are_refused(bad, d):
+    # Without the check a NaN point is silently edgeless in d = 1 and trips the
+    # grid's span guard in d = 2.
+    pts = np.zeros((3, d))
+    pts[1, d - 1] = bad
+    with pytest.raises(InputError, match="finite"):
+        PointCloud(points=pts, provenance="binomial", size_parameter=3.0, seed=0)
