@@ -31,8 +31,8 @@ from .geometry import (
     in_region,
     leftmost_point,
     region_from_config,
+    threshold_pairs,
     threshold_pairs_bruteforce,
-    threshold_pairs_grid,
 )
 from .complexes import (
     FaceCounts,
@@ -52,10 +52,8 @@ from .constants import (
     ConstantEstimate,
     MomentPrediction,
     RegimeReport,
-    estimate_face_constant,
     estimate_mu,
     estimate_nu,
-    estimate_pair_constant,
     estimate_phi,
     estimate_theta,
     poisson_d1_ratios,

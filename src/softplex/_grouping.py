@@ -1,13 +1,11 @@
 """Index arithmetic for generating pairs out of grouped, sorted arrays.
 
-These helpers are the vectorized core of the grid neighbor search and the
-clique join.  One ragged-range primitive, `_ragged`, numbers the elements of
-consecutive groups of given sizes: each element's group and its offset
-inside the group.  On it, `pairs_within_groups` emits all within-group
-position pairs (i < j) and `pairs_across_groups` all cross pairs of matched
-groups, without a Python-level loop over elements.  One sorted-key lookup,
-`_find`, serves the grid's batched neighbour-cell pass and the clique
-join's row-code lookups.
+These helpers are the vectorized core of the clique join.  One ragged-range
+primitive, `_ragged`, numbers the elements of consecutive groups of given
+sizes: each element's group and its offset inside the group.  On it,
+`pairs_within_groups` emits all within-group position pairs (i < j) without
+a Python-level loop over elements.  One sorted-key lookup, `_find`, serves
+the join's row-code lookups.
 """
 
 from __future__ import annotations
@@ -39,17 +37,6 @@ def pairs_within_groups(starts: np.ndarray, counts: np.ndarray):
     lefts = np.repeat(starts[group] + local, rights_per_left)
     _, step = _ragged(rights_per_left)
     return lefts, lefts + step + 1
-
-
-def pairs_across_groups(starts_a, counts_a, starts_b, counts_b):
-    """All cross pairs (i in group a_g, j in group b_g) for matched groups."""
-    starts_a = np.asarray(starts_a, dtype=np.int64)
-    counts_a = np.asarray(counts_a, dtype=np.int64)
-    starts_b = np.asarray(starts_b, dtype=np.int64)
-    counts_b = np.asarray(counts_b, dtype=np.int64)
-    group, local = _ragged(counts_a * counts_b)
-    row, col = np.divmod(local, counts_b[group])
-    return starts_a[group] + row, starts_b[group] + col
 
 
 def _find(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

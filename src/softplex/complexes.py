@@ -19,8 +19,8 @@ vertex is its own index.  The codes of a lex-sorted table increase with the
 row, so one sorted-key lookup per vertex, `_grouping._find`, finds a tuple
 and its row, and a code stays below (number of (k-1)-faces) * n; a
 mixed-radix code n^(k+1) would overflow int64 at n = 250k and k = 3.  The
-join's subface check, the eligibility test of `soft_thin` and
-`downward_closed` share this lookup with the grid graph.
+join's subface check and the eligibility tests of `soft_thin` and
+`downward_closed` all use this lookup.
 
 The ball-intersection filter and the ball-flavor constants share one batched
 kernel, `_min_ball_radii`, for the smallest-enclosing-ball radius of a

@@ -211,13 +211,8 @@ def _product_estimate(coeff: float, outer: tuple[float, float],
 # constant kind -> (complex flavor, whether it couples two faces)
 _KINDS = {"mu": ("rips", False), "nu": ("cech", False),
           "phi": ("rips", True), "theta": ("cech", True)}
-
-
-def _kind(flavor: str, pair: bool) -> str:
-    for kind, spec in _KINDS.items():
-        if spec == (flavor, pair):
-            return kind
-    raise ConfigurationError(f"flavor must be 'rips' or 'cech', got {flavor!r}")
+# complex flavor -> (face constant kind, pair constant kind)
+_FLAVOR_KINDS = {"rips": ("mu", "phi"), "cech": ("nu", "theta")}
 
 
 def _estimate(kind: str, k: int, l: int | None, j: int | None, d: int, density: Density,
@@ -249,36 +244,24 @@ def _estimate(kind: str, k: int, l: int | None, j: int | None, d: int, density: 
                             l=l if pair else None, j=j if pair else None, region=region)
 
 
-def estimate_face_constant(k: int, d: int, density: Density, region: RegionSpec = ALL_SPACE,
-                           samples: int = 1_000_000, seed: int = 0,
-                           flavor: str = "rips", threads: int | None = None) -> ConstantEstimate:
-    """Limiting coefficient of E and var of the k-face count, divided by n^{k+1} r^{dk}."""
-    return _estimate(_kind(flavor, False), k, None, None, d, density, region, samples, seed,
-                     threads)
-
-
 def estimate_mu(k, d, density, region=ALL_SPACE, samples=1_000_000, seed=0, threads=None):
-    return estimate_face_constant(k, d, density, region, samples, seed, "rips", threads)
+    """Clique face constant mu_k: the coefficient of E and var of f_k over n^{k+1} r^{dk}."""
+    return _estimate("mu", k, None, None, d, density, region, samples, seed, threads)
 
 
 def estimate_nu(k, d, density, region=ALL_SPACE, samples=1_000_000, seed=0, threads=None):
-    return estimate_face_constant(k, d, density, region, samples, seed, "cech", threads)
-
-
-def estimate_pair_constant(k: int, l: int, j: int, d: int, density: Density,
-                           region: RegionSpec = ALL_SPACE, samples: int = 1_000_000,
-                           seed: int = 0, flavor: str = "rips",
-                           threads: int | None = None) -> ConstantEstimate:
-    """Covariance coefficient for a k-face and an l-face sharing j vertices."""
-    return _estimate(_kind(flavor, True), k, l, j, d, density, region, samples, seed, threads)
+    """Ball face constant nu_k: the coefficient of E and var of f_k over n^{k+1} r^{dk}."""
+    return _estimate("nu", k, None, None, d, density, region, samples, seed, threads)
 
 
 def estimate_phi(k, l, j, d, density, region=ALL_SPACE, samples=1_000_000, seed=0, threads=None):
-    return estimate_pair_constant(k, l, j, d, density, region, samples, seed, "rips", threads)
+    """Clique covariance coefficient of a k-face and an l-face sharing j vertices."""
+    return _estimate("phi", k, l, j, d, density, region, samples, seed, threads)
 
 
 def estimate_theta(k, l, j, d, density, region=ALL_SPACE, samples=1_000_000, seed=0, threads=None):
-    return estimate_pair_constant(k, l, j, d, density, region, samples, seed, "cech", threads)
+    """Ball covariance coefficient of a k-face and an l-face sharing j vertices."""
+    return _estimate("theta", k, l, j, d, density, region, samples, seed, threads)
 
 
 def _log_or_zero(value: float) -> float:
@@ -341,7 +324,9 @@ def predicted_moments(n: float, r: float, d: int, rho, k: int, l: int | None = N
     The k = 0 case uses the Poisson-process values: mean and variance both
     equal the region mass times n.
     """
-    face_kind, pair_kind = _kind(flavor, False), _kind(flavor, True)
+    if flavor not in _FLAVOR_KINDS:
+        raise ConfigurationError(f"flavor must be 'rips' or 'cech', got {flavor!r}")
+    face_kind, pair_kind = _FLAVOR_KINDS[flavor]
     if k == 0:
         mass = _find_constant(constants, face_kind, 0).value
         mean = variance = mass * n

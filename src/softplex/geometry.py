@@ -1,32 +1,24 @@
-"""Distance-threshold graphs, sort-and-sweep and grid neighbor search, regions.
+"""Distance-threshold graphs, sort-and-sweep and k-d tree neighbor search, regions.
 
 The geometric graph joins two points whenever their distance is at most r
 (closed threshold).  In d = 1 the search sorts the points once and sweeps
 the sorted order offset by offset: a position stays a candidate for offset
-k only while its pair at offset k - 1 was within r.  In d >= 2 it bins
-points into a uniform grid of cell side just over r, so only same-cell and
-adjacent-cell pairs are examined.  The cell keys come from the coordinates
-as (d, n) planes, one contiguous row per axis.  One batched neighbour-cell
-pass looks up the occupied cells at every positive offset in a single
-`_find` call, and the ragged-range helpers of `_grouping` emit the
-same-cell and cross-cell candidate pairs as positions in cell order.  The
-rows are permuted into that order once, so the distance test gathers
-nearby rows, and only the pairs that pass are mapped back to vertex labels.
-Either way the sparse regime costs O(n log n + candidate pairs).  Every
-path returns its edges sorted by the int64 code lo * n + hi.  A quadratic
-reference implementation is kept alongside as the correctness oracle.
+k only while its pair at offset k - 1 was within r.  In d >= 2 one
+`cKDTree.query_pairs` call from scipy finds the pairs (a k-d tree; Bentley
+1975).  Either way the sparse regime costs O(n log n + output) on average.
+Every path returns its edges sorted by the int64 code lo * n + hi.  A
+quadratic reference implementation is kept alongside as the correctness
+oracle.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from ._grouping import _find, group_boundaries, pairs_across_groups, pairs_within_groups
 from .errors import ConfigurationError, InputError
 from .point_process import PointCloud
 
@@ -77,16 +69,6 @@ def threshold_pairs_bruteforce(points: np.ndarray, r: float) -> np.ndarray:
     return _sort_pairs(ii.astype(np.int64), jj.astype(np.int64), n)
 
 
-def _positive_offsets(d: int) -> np.ndarray:
-    """Nonzero offsets in {-1,0,1}^d whose first nonzero entry is +1, one per row."""
-    out = []
-    for delta in itertools.product((-1, 0, 1), repeat=d):
-        nonzero = [v for v in delta if v != 0]
-        if nonzero and nonzero[0] == 1:
-            out.append(delta)
-    return np.array(out, dtype=np.int64)
-
-
 def _threshold_pairs_sweep(x: np.ndarray, r: float) -> np.ndarray:
     """All pairs of a 1-d cloud at distance <= r, by one sort and an offset sweep.
 
@@ -114,61 +96,23 @@ def _threshold_pairs_sweep(x: np.ndarray, r: float) -> np.ndarray:
     return _sort_pairs(order[np.concatenate(lefts)], order[np.concatenate(rights)], n)
 
 
-# The grid's cell side is r * (1 + 2^-20) and each axis may span at most
-# 2^30 * r; together they keep every edge within adjacent cells.  With unit
-# roundoff u = 2^-53, a pair that passes the closed test (a float sum of
-# squared float differences <= fl(r * r)) lies within r * (1 + 4u) of each
-# other on every axis, and the float cell coordinate fl(fl(x - lo) / side)
-# is within 3u * span / side of the exact (x - lo) / side.  Two such
-# coordinates therefore differ by at most (1 + 4u + 6u * span / r) / (1 + 2^-20),
-# which is <= 1 while span / r <= (2^-20 - 4u) / (6u), about 1.4e9 > 2^30;
-# their floors then differ by at most 1.  The span bound is checked in
-# floating point before the cast to int64, so the cast is exact.
-_CELL_SLACK = 1.0 + 2.0**-20
-_MAX_SPAN_CELLS = 2.0**30
+def threshold_pairs(points: np.ndarray, r: float) -> np.ndarray:
+    """All pairs at distance <= r: a sort-and-sweep in d = 1, a k-d tree in d >= 2.
 
-
-def threshold_pairs_grid(points: np.ndarray, r: float) -> np.ndarray:
-    """All pairs at distance <= r: a sort-and-sweep in d = 1, a uniform grid in d >= 2.
-
-    The grid reads the coordinates as (d, n) planes for the bounds, the span
-    guard and the cell keys, and builds each key by adding the axis's cell
-    index times its stride, one plane at a time.  Candidates are positions in
-    the cell-sorted order; the closed test runs on rows gathered from a copy
-    of the points permuted into that order, and the surviving pairs are
-    mapped back to vertex labels.
+    The tree is scipy's `cKDTree` with its default parameters; `query_pairs`
+    keeps a pair when its float squared distance is at most r * r, the
+    oracle's closed test.  Coordinates must be finite; they are checked once
+    here, for every d.
     """
     n, d = points.shape
+    if not np.isfinite(points).all():
+        raise InputError("threshold graph needs finite coordinates")
     if n < 2:
         return _NO_EDGES.copy()
     if d == 1:
         return _threshold_pairs_sweep(points[:, 0], r)
-    planes = points.T.astype(np.float64, order="C")  # (d, n): one contiguous row per axis
-    lo = planes.min(axis=1)
-    span = planes.max(axis=1) - lo
-    if not np.all(span / r < _MAX_SPAN_CELLS):
-        raise ConfigurationError(
-            "coordinate span exceeds 2^30 * r on some axis; the grid cannot index it exactly"
-        )
-    extents = [int(e) + 3 for e in np.floor(span / (r * _CELL_SLACK))]  # floor is monotone
-    if math.prod(extents) >= 2**62:
-        raise ConfigurationError("grid too fine for 64-bit cell keys; reduce 1/r or d")
-    strides = [math.prod(extents[axis + 1:]) for axis in range(d)]
-    cells = np.floor((planes - lo[:, None]) / (r * _CELL_SLACK)).astype(np.int64)
-    keys = sum(strides) + sum(cells[axis] * strides[axis] for axis in range(d))  # cells from 1
-    del planes, cells  # freed before the candidate arrays, which set the peak memory
-    order = np.argsort(keys)
-    starts, sizes, group_keys = group_boundaries(keys[order])
-    # Offset-major targets keep each row of lookups sorted, so the searches stay cache friendly.
-    hit, pos = _find(group_keys, group_keys[None, :] + (_positive_offsets(d) @ strides)[:, None])
-    src, dst = np.nonzero(hit)[1], pos[hit]
-    li, ri = pairs_within_groups(starts, sizes)
-    lj, rj = pairs_across_groups(starts[src], sizes[src], starts[dst], sizes[dst])
-    ci, cj = np.concatenate([li, lj]), np.concatenate([ri, rj])  # positions in cell order
-    rows = points.take(order, axis=0)
-    diff = rows.take(ci, axis=0) - rows.take(cj, axis=0)
-    close = np.einsum("ij,ij->i", diff, diff) <= r * r
-    return _sort_pairs(order[ci[close]], order[cj[close]], n)
+    pairs = cKDTree(points).query_pairs(r, output_type="ndarray")
+    return _sort_pairs(pairs[:, 0], pairs[:, 1], n)
 
 
 def build_graph(cloud: PointCloud, r: float, *, seed: int | None = None) -> GeometricGraph:
@@ -180,7 +124,7 @@ def build_graph(cloud: PointCloud, r: float, *, seed: int | None = None) -> Geom
     """
     if not r > 0:
         raise InputError(f"threshold radius must be positive, got {r}")
-    edges = threshold_pairs_grid(cloud.points, float(r))
+    edges = threshold_pairs(cloud.points, float(r))
     return GeometricGraph(cloud=cloud, r=float(r), edges=edges)
 
 

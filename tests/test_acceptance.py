@@ -31,8 +31,8 @@ from softplex import (
     sample_binomial,
     soft_thin,
     statistic_samples,
+    threshold_pairs,
     threshold_pairs_bruteforce,
-    threshold_pairs_grid,
     variance_ratio_report,
 )
 from softplex.cli import main as cli_main
@@ -342,7 +342,7 @@ def test_criterion_11_oracle_equivalence():
         n = int(rng.integers(100, 2001))
         pts = rng.random((n, d)) * (1.0 + rng.random(d))
         r = float(rng.uniform(0.3, 1.5)) * n ** (-1.0 / d) * 0.8
-        if np.array_equal(threshold_pairs_grid(pts, r), threshold_pairs_bruteforce(pts, r)):
+        if np.array_equal(threshold_pairs(pts, r), threshold_pairs_bruteforce(pts, r)):
             grid_ok += 1
 
     clique_ok = 0

@@ -9,10 +9,8 @@ from softplex import (
     InputError,
     RegionSpec,
     UniformBox,
-    estimate_face_constant,
     estimate_mu,
     estimate_nu,
-    estimate_pair_constant,
     estimate_phi,
     estimate_theta,
     predicted_moments,
@@ -174,10 +172,6 @@ def test_face_kinds_refuse_pair_arguments():
 
 
 def test_unknown_flavor_is_rejected():
-    with pytest.raises(ConfigurationError, match="flavor"):
-        estimate_face_constant(2, 2, UNIT_2D, samples=100, flavor="Rips")
-    with pytest.raises(ConfigurationError, match="flavor"):
-        estimate_pair_constant(1, 1, 1, 2, UNIT_2D, samples=100, flavor="ball")
     nu1 = estimate_nu(1, 1, UNIT_1D, samples=100, seed=1)
     with pytest.raises(ConfigurationError, match="flavor"):
         predicted_moments(1e4, 1e-4, 1, (1.0,), k=1, constants=[nu1], flavor="Rips")

@@ -13,11 +13,9 @@ from softplex import (
     in_region,
     leftmost_point,
     region_from_config,
+    threshold_pairs,
     threshold_pairs_bruteforce,
-    threshold_pairs_grid,
 )
-from softplex._grouping import _find, group_boundaries, pairs_across_groups, pairs_within_groups
-from softplex.geometry import _CELL_SLACK, _positive_offsets, _sort_pairs
 
 
 def cloud_from(points):
@@ -50,11 +48,13 @@ GRID = st.integers(-(2**20), 2**20).map(lambda k: k / 2**20)
 @st.composite
 def threshold_instances(draw):
     """A cloud of 0..60 points in d = 1..4 and a radius, of one kind: random,
-    tied (duplicates, coordinate ties, pairs exactly r apart) or runs spaced
-    exactly r apart along one axis; shifted by an offset that may be negative."""
+    tied (duplicates, coordinate ties, pairs exactly r apart), runs spaced
+    exactly r apart along one axis, or far (r = 2^-40, tiny against the span,
+    with points near three far-apart centres); shifted by an offset that may
+    be negative."""
     d, n = draw(st.integers(1, 4)), draw(st.integers(0, 60))
     r = draw(st.sampled_from([0.125, 0.25, 0.3, 1.0]))
-    kind = draw(st.sampled_from(["random", "ties", "runs"]))
+    kind = draw(st.sampled_from(["random", "ties", "runs", "far"]))
 
     def grid(*shape, values=GRID):
         flat = draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
@@ -64,9 +64,13 @@ def threshold_instances(draw):
         pts = grid(n, d) * draw(st.sampled_from([0.5, 1.0, 4.0]))
     elif kind == "ties":
         pts = grid(n, d, values=st.integers(-4, 4).map(lambda k: k * r / 2))
-    else:
+    elif kind == "runs":
         steps = grid(n, 1, values=st.integers(0, 12).map(float))
         pts = grid(1, d) + steps * r * np.eye(d)[draw(st.integers(0, d - 1))]
+    else:
+        r = 2.0**-40
+        picks = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        pts = grid(3, d)[picks] + grid(n, d, values=st.integers(-2, 2).map(float)) * r
     return pts + draw(st.sampled_from([0.0, -3.0, 1000.5, -(2.0**20)])), r
 
 
@@ -75,37 +79,11 @@ def threshold_instances(draw):
 def test_grid_matches_bruteforce_on_random_instances(case):
     pts, r = case
     n = pts.shape[0]
-    edges = threshold_pairs_grid(pts, r)
+    edges = threshold_pairs(pts, r)
     assert np.array_equal(edges, threshold_pairs_bruteforce(pts, r))
     assert edges.dtype == np.int64 and edges.shape == (edges.shape[0], 2)
     assert np.all(edges[:, 0] < edges[:, 1])
     assert np.all(np.diff(edges[:, 0] * n + edges[:, 1]) > 0)
-
-
-def label_ordered_grid(points, r):
-    """The d >= 2 grid as it was before cell-ordered gathers, frozen as a reference.
-
-    It builds cell keys with an (n, d) @ strides product and tests each candidate
-    by gathering both rows by vertex label.  Guards are left to the tested code.
-    """
-    n, d = points.shape
-    lo = points.min(axis=0)
-    cells = np.floor((points - lo) / (r * _CELL_SLACK)).astype(np.int64) + 1
-    extents = [int(e) + 2 for e in cells.max(axis=0)]
-    strides = np.array([math.prod(extents[axis + 1:]) for axis in range(d)], dtype=np.int64)
-    keys = cells @ strides
-    order = np.argsort(keys)
-    starts, sizes, group_keys = group_boundaries(keys[order])
-    hit, pos = _find(group_keys, group_keys[None, :] + (_positive_offsets(d) @ strides)[:, None])
-    src = np.nonzero(hit)[1]
-    dst = pos[hit]
-    li, ri = pairs_within_groups(starts, sizes)
-    lj, rj = pairs_across_groups(starts[src], sizes[src], starts[dst], sizes[dst])
-    cand_i = order[np.concatenate([li, lj])]
-    cand_j = order[np.concatenate([ri, rj])]
-    diff = points[cand_i] - points[cand_j]
-    close = np.einsum("ij,ij->i", diff, diff) <= r * r
-    return _sort_pairs(cand_i[close], cand_j[close], n)
 
 
 def clustered_with_outlier(rng, n, d):
@@ -121,39 +99,36 @@ def clustered_with_outlier(rng, n, d):
     (2, 0.001, "clustered"), (3, 0.004, "clustered"),
 ])
 def test_grid_matches_label_ordered_reference(d, r, kind):
-    # Sparse and dense ends at n = 2000; the outlier stretches the grid far past the cluster.
+    # Sparse and dense ends at n = 2000; the outlier stretches the cloud far past the cluster.
     rng = np.random.default_rng(2000 + 10 * d)
     pts = rng.random((2000, d)) if kind == "uniform" else clustered_with_outlier(rng, 2000, d)
-    edges = threshold_pairs_grid(pts, r)
-    reference = label_ordered_grid(pts, r)
+    edges = threshold_pairs(pts, r)
+    reference = threshold_pairs_bruteforce(pts, r)
     assert edges.shape[0] > 0
     assert edges.dtype == reference.dtype and edges.tobytes() == reference.tobytes()
 
 
 def test_far_offset_pair_is_found_or_refused():
-    # A span of 1 against r = 2e-17: (x - lo) / r cannot index cells exactly.
-    # The d = 1 sweep needs no cells; the grid must refuse, not miss the pair.
+    # A span of 1 against r = 2e-17: the pair is found in d = 1 and d = 2, as the oracle finds it.
     line = np.array([[-1.0], [1.1e-16], [1.2e-16]])
-    assert threshold_pairs_grid(line, 2e-17).tolist() == [[1, 2]]
+    assert threshold_pairs(line, 2e-17).tolist() == [[1, 2]]
     plane = np.hstack([line, np.zeros((3, 1))])
     assert threshold_pairs_bruteforce(plane, 2e-17).tolist() == [[1, 2]]
-    with pytest.raises(ConfigurationError):
-        threshold_pairs_grid(plane, 2e-17)
-    # Within the grid's span bound (here 2^29 * r) the pair is found.
-    plane[1:, 0] = [2.0**-30, 2.0**-30 + 2.0**-31]
-    assert threshold_pairs_grid(plane, 2.0**-29).tolist() == [[1, 2]]
+    assert threshold_pairs(plane, 2e-17).tolist() == [[1, 2]]
 
 
-def test_cell_keys_beyond_int64_are_refused():
-    # 2^25 * r per axis passes the span guard, but (2^25 + 3)^3 cells exceed 2^62.
-    pts = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
-    with pytest.raises(ConfigurationError, match="64-bit cell keys"):
-        threshold_pairs_grid(pts, 2.0**-25)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("d", [1, 2])
+def test_threshold_pairs_refuses_non_finite_coordinates(bad, d):
+    pts = np.zeros((3, d))
+    pts[1, d - 1] = bad
+    with pytest.raises(InputError, match="finite"):
+        threshold_pairs(pts, 1.0)
 
 
 def test_edge_list_sorted_and_duplicate_free():
     pts = np.random.default_rng(7).random((400, 2))
-    edges = threshold_pairs_grid(pts, 0.1)
+    edges = threshold_pairs(pts, 0.1)
     assert np.all(edges[:, 0] < edges[:, 1])
     codes = edges[:, 0] * 400 + edges[:, 1]
     assert np.all(np.diff(codes) > 0)  # strictly increasing: sorted, no duplicates
@@ -162,7 +137,7 @@ def test_edge_list_sorted_and_duplicate_free():
 def test_edges_within_threshold():
     pts = np.random.default_rng(8).random((300, 2))
     r = 0.12
-    edges = threshold_pairs_grid(pts, r)
+    edges = threshold_pairs(pts, r)
     gaps = np.linalg.norm(pts[edges[:, 0]] - pts[edges[:, 1]], axis=1)
     assert np.all(gaps <= r)
 

@@ -3,7 +3,7 @@ import bisect
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from softplex._grouping import _find, pairs_across_groups, pairs_within_groups
+from softplex._grouping import _find, pairs_within_groups
 
 # Group sizes 0..6 cover empty input, zero-size groups and singletons.
 SIZES = st.lists(st.integers(0, 6), max_size=12)
@@ -22,16 +22,6 @@ def test_pairs_within_groups_match_double_loop(sizes, data):
     expected = [(s + a, s + b) for s, c in zip(starts, sizes)
                 for a in range(c) for b in range(a + 1, c)]
     assert as_pairs(*pairs_within_groups(starts, sizes)) == expected
-
-
-@settings(max_examples=300)
-@given(layout=st.lists(st.tuples(STARTS, st.integers(0, 4), STARTS, st.integers(0, 4)),
-                       max_size=12))
-def test_pairs_across_groups_match_double_loop(layout):
-    starts_a, counts_a, starts_b, counts_b = np.array(layout, dtype=np.int64).reshape(-1, 4).T
-    expected = [(sa + a, sb + b) for sa, ca, sb, cb in layout
-                for a in range(ca) for b in range(cb)]
-    assert as_pairs(*pairs_across_groups(starts_a, counts_a, starts_b, counts_b)) == expected
 
 
 @settings(max_examples=300)

@@ -100,8 +100,7 @@ def test_clouds_are_immutable():
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("d", [1, 2])
 def test_non_finite_coordinates_are_refused(bad, d):
-    # Without the check a NaN point is silently edgeless in d = 1 and trips the
-    # grid's span guard in d = 2.
+    # The cloud is refused when it is made, before any layer builds on it.
     pts = np.zeros((3, d))
     pts[1, d - 1] = bad
     with pytest.raises(InputError, match="finite"):
