@@ -16,6 +16,23 @@ independently (outer: draws from the density; inner: uniform draws from the
 unit ball, whose support contains the indicator), and the standard errors
 combine by the delta method.
 
+The samples fall into fixed shards, each drawn from its own derived stream,
+and one thread pool runs the shards of both factors.  An inner shard draws
+all its uniforms first, in the stream's fixed order (the Box-Muller pairs,
+then the radii), and then works through even blocks of at most _BLOCK
+tuples.  A block's points become origin-prefixed (m + 1, d, rows)
+coordinate planes, each plane a contiguous row of a cache-sized array, and
+the scaling into the unit ball, the clique distances and the enclosing-ball
+kernel all run on those planes.  On whole-shard (size, m, d) rows each
+pass would be an inner loop of d elements over arrays of millions of
+doubles, bound by memory.  Blocks change how the work is cut, not a value:
+every step is elementwise or per tuple, so the estimates do not depend on
+the block length.  That is why the length is a fixed constant and not a
+parameter: it would select nothing but speed, and its best value is set by
+the cache.  Sums of squares over the planes add the coordinates in the
+order that np.einsum("ij,ij->i") uses on rows (two SIMD lanes, the even and
+the odd coordinates); a plain plane-by-plane sum differs from d = 3 on.
+
 The closed-form side evaluates predicted means, variances, and covariances
 in log space from (n, r, rho) plus estimated constants, through one scale
 prod_i p_i^{e_i} * n^{k+l+2-j} * r^{d(k+l+1-j)} with e_i the joint
@@ -29,8 +46,10 @@ variance and covariance ratios, are kept next to the asymptotic ones.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import combinations
 
 import numpy as np
 
@@ -38,9 +57,14 @@ from .complexes import _min_ball_radii
 from .densities import Density
 from .errors import ConfigurationError, InputError
 from .geometry import ALL_SPACE, RegionSpec, region_mask
-from .rng import MC_INNER_STREAM, MC_OUTER_STREAM, generator, standard_normals
+from .rng import MC_INNER_STREAM, MC_OUTER_STREAM, box_muller, generator
 
-_SHARD = 1 << 20  # samples per shard; fixed so results never depend on threads
+# samples per shard of the outer factor (the inner one takes _SHARD // m
+# tuples of m points); shards are fixed, so results never depend on threads
+_SHARD = 1 << 20
+# tuples per block of the inner kernel: the planes of a block of 2-4 point
+# tuples in d = 2 take 0.2-0.6 MB and stay in a core's cache
+_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -87,17 +111,6 @@ def unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
-def _sample_unit_ball(rng, count: int, d: int) -> np.ndarray:
-    """Uniform draws from the unit ball, Box-Muller direction method."""
-    if d == 1:
-        return (2.0 * rng.random((count, 1))) - 1.0
-    z = standard_normals(rng, count * d).reshape(count, d)
-    norms = np.sqrt(np.einsum("ij,ij->i", z, z))
-    norms[norms == 0] = 1.0
-    radii = rng.random(count) ** (1.0 / d)
-    return z * (radii / norms)[:, None]
-
-
 def _mean_and_se(total: float, total_sq: float, count: int) -> tuple[float, float]:
     mean = total / count
     var = max(total_sq / count - mean * mean, 0.0)
@@ -109,96 +122,132 @@ def _shard_sizes(samples: int, shard: int) -> list[int]:
     return [shard] * full + ([rest] if rest else [])
 
 
-def _sharded_sums(worker, samples: int, shard: int, threads: int | None) -> tuple[float, float]:
-    """Map worker(shard_index, size) -> (sum, sum_sq) over fixed sample shards.
+def _sharded_sums(jobs, samples: int, threads: int | None) -> list[tuple[float, float]]:
+    """(sum, sum_sq) of each job (worker, shard) over fixed sample shards.
 
-    Each shard draws from its own derived stream, and the merge is a plain
-    sum, so the estimate is identical for any worker count.
+    worker(shard_index, size) returns one shard's (sum, sum_sq).  Each shard
+    draws from its own derived stream and a job's merge is a plain sum in
+    shard order, so the sums are identical for any worker count.  One pool
+    runs the shards of every job, so the jobs overlap.
     """
-    sizes = _shard_sizes(samples, shard)
-    tasks = list(enumerate(sizes))
+    tasks = [(job, index, size) for job, (_, shard) in enumerate(jobs)
+             for index, size in enumerate(_shard_sizes(samples, shard))]
+
+    def run(task):
+        job, index, size = task
+        return jobs[job][0](index, size)
+
     if threads is None or threads <= 1 or len(tasks) == 1:
-        parts = [worker(idx, size) for idx, size in tasks]
+        parts = [run(task) for task in tasks]
     else:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda t: worker(*t), tasks))
-    return float(sum(p[0] for p in parts)), float(sum(p[1] for p in parts))
+            parts = list(pool.map(run, tasks))
+    sums = [(0.0, 0.0)] * len(jobs)
+    for (job, _, _), (total, total_sq) in zip(tasks, parts):
+        sums[job] = (sums[job][0] + total, sums[job][1] + total_sq)
+    return sums
 
 
-def _outer_factor(power: int, density: Density, region: RegionSpec,
-                  samples: int, seed: int, threads: int | None = None) -> tuple[float, float]:
-    """Estimate integral_A f(x)^{power+1} dx by sampling x ~ f."""
+def _outer_worker(power: int, density: Density, region: RegionSpec, seed: int):
+    """Shard worker of integral_A f(x)^{power+1} dx, sampling x ~ f."""
 
     def worker(index: int, size: int):
         x = density.sample(generator(seed, MC_OUTER_STREAM, index), size)
-        vals = density.pdf(x) ** power if power else np.ones(size)
+        vals = density.pdf(x) if power else np.ones(size)
+        if power > 1:
+            vals **= power
         if region.kind != "all":
-            vals = vals * region_mask(x, region)
+            vals *= region_mask(x, region)
         return float(vals.sum()), float((vals * vals).sum())
 
-    total, total_sq = _sharded_sums(worker, samples, _SHARD, threads)
-    return _mean_and_se(total, total_sq, samples)
+    return worker
 
 
-def _clique_indicator(origin_block: np.ndarray) -> np.ndarray:
-    """All pairwise distances at most 1 among {0, x_1, ..., x_m}."""
-    m = origin_block.shape[1]
-    ok = np.ones(origin_block.shape[0], dtype=bool)
-    for a in range(m):
-        sq = np.einsum("ij,ij->i", origin_block[:, a], origin_block[:, a])
-        ok &= sq <= 1.0
-        for b in range(a + 1, m):
-            diff = origin_block[:, a] - origin_block[:, b]
-            ok &= np.einsum("ij,ij->i", diff, diff) <= 1.0
+def _sum_of_squares(planes: np.ndarray) -> np.ndarray:
+    """Sum over the leading (coordinate) axis of planes ** 2, in einsum's order.
+
+    np.einsum("ij,ij->i") adds a row in two SIMD lanes, the even and the odd
+    coordinates, and adds the lanes last; a row of eight or more first takes
+    whole blocks of eight, the coordinates of a block from the last to the
+    first.  Adding the planes in that order keeps the squared distances, and
+    so every indicator, bit-identical to an einsum over contiguous rows;
+    `tests/test_constants_blocked.py` checks the order against einsum for
+    d = 1..16.
+    """
+    d = planes.shape[0]
+    head = d - d % 8
+    order = [block + 2 * step + lane for block in range(0, head, 8)
+             for step in (3, 2, 1, 0) for lane in (0, 1)]
+    lanes = [None, None]
+    for axis in order + list(range(head, d)):
+        sq = planes[axis] * planes[axis]
+        lane = lanes[axis % 2]
+        lanes[axis % 2] = sq if lane is None else np.add(sq, lane, out=sq)
+    return lanes[0] if lanes[1] is None else np.add(lanes[0], lanes[1], out=lanes[0])
+
+
+def _admissible(planes: np.ndarray, member_lists, flavor: str) -> np.ndarray:
+    """Whether every member list's tuple of (m, d, rows) planes is a face at scale 1.
+
+    Plane 0 is the origin.  A clique needs all pairwise distances at most 1;
+    a ball tuple needs its smallest enclosing ball to have radius at most 1/2.
+    """
+    ok = np.ones(planes.shape[2], dtype=bool)
+    for members in member_lists:
+        if flavor == "rips":
+            for a, b in combinations(members, 2):
+                ok &= _sum_of_squares(planes[b] - planes[a]) <= 1.0
+        else:
+            ok &= _min_ball_radii(planes[list(members)].transpose(2, 0, 1)) <= 0.5
     return ok
 
 
-def _ball_indicator(block: np.ndarray, columns: list[int]) -> np.ndarray:
-    """Smallest ball enclosing the origin and block[:, columns] has radius at most 1/2."""
-    count, _, d = block.shape
-    # (m, d, count) planes, the kernel's working layout, filled point by
-    # point: a fancy-indexed copy of the block would add to peak memory
-    planes = np.zeros((len(columns) + 1, d, count))
-    for slot, column in enumerate(columns, start=1):
-        planes[slot] = block[:, column].T
-    return _min_ball_radii(planes.transpose(2, 0, 1)) <= 0.5
+def _inner_worker(m: int, d: int, member_lists, flavor: str, seed: int):
+    """Shard worker of the unit-scale indicator integral over (R^d)^m.
 
-
-def _tuple_indicator(block: np.ndarray, members: list[int], flavor: str) -> np.ndarray:
-    """Admissibility of the sub-tuple at the given member indices (0 = origin)."""
-    columns = [idx - 1 for idx in members if idx != 0]
-    if flavor == "rips":
-        return _clique_indicator(block[:, columns])
-    return _ball_indicator(block, columns)
-
-
-def _inner_factor(inner_points: int, d: int, member_lists: list[list[int]], flavor: str,
-                  samples: int, seed: int, threads: int | None = None) -> tuple[float, float]:
-    """Estimate the unit-scale indicator integral over (R^d)^inner_points.
-
-    The indicator vanishes unless every sampled point lies in the unit ball
-    around the origin (all tuples contain the origin and are admissible at
-    scale 1), so uniform sampling from B(0,1)^inner_points with the matching
-    volume factor is exact.  Each distinct member list is tested once.
+    A shard draws its uniforms for the whole shard, in the stream's fixed
+    order: for d >= 2 the Box-Muller pairs u1 and u2 of size * m
+    directions, then one radius draw per point; for d = 1 one coordinate per
+    point.  Everything after the draws runs on blocks of at most _BLOCK
+    tuples: a block's points become origin-prefixed (m + 1, d, rows)
+    coordinate planes, scaled into the unit ball, and its tuples are
+    tested on those planes.  The blocks split a shard evenly, so a block
+    holds one tuple only when its shard does: from d = 3 on, the
+    enclosing-ball kernel's einsums add the coordinates of a one-tuple block
+    in another order.
     """
-    if inner_points == 0:
-        return 1.0, 0.0
-    volume = unit_ball_volume(d) ** inner_points
-    distinct = list(dict.fromkeys(tuple(members) for members in member_lists))
 
     def worker(index: int, size: int):
         rng = generator(seed, MC_INNER_STREAM, index)
-        block = _sample_unit_ball(rng, size * inner_points, d).reshape(size, inner_points, d)
-        ok = np.ones(size, dtype=bool)
-        for members in distinct:
-            ok &= _tuple_indicator(block, members, flavor)
+        if d == 1:
+            coords = rng.random(size * m)
+        else:
+            pairs = (size * m * d + 1) // 2
+            u1, u2 = rng.random(pairs), rng.random(pairs)
+            radii = rng.random(size * m)
+        ok = np.empty(size, dtype=bool)
+        blocks = -(-size // _BLOCK)
+        for part in range(blocks):
+            lo, hi = part * size // blocks, (part + 1) * size // blocks
+            rows = hi - lo
+            planes = np.zeros((m + 1, d, rows))
+            points = planes[1:]  # (m, d, rows); point a of tuple t is draw (lo + t) * m + a
+            if d == 1:
+                points[:, 0] = coords[lo * m:hi * m].reshape(rows, m).T
+                points *= 2.0
+                points -= 1.0
+            else:
+                normals = box_muller(u1, u2, lo * m * d, np.empty(rows * m * d))
+                points[...] = normals.reshape(rows, m, d).transpose(1, 2, 0)
+                norms = np.sqrt(_sum_of_squares(points.transpose(1, 0, 2)))
+                norms[norms == 0] = 1.0
+                scale = (radii[lo * m:hi * m] ** (1.0 / d)).reshape(rows, m).T / norms
+                points *= scale[:, None, :]
+            ok[lo:hi] = _admissible(planes, member_lists, flavor)
         hits = float(ok.sum())
         return hits, hits  # indicator: squares equal values
 
-    shard = max(1, _SHARD // max(inner_points, 1))
-    total, total_sq = _sharded_sums(worker, samples, shard, threads)
-    mean, se = _mean_and_se(total, total_sq, samples)
-    return mean * volume, se * volume
+    return worker
 
 
 def _product_estimate(coeff: float, outer: tuple[float, float],
@@ -215,10 +264,28 @@ _KINDS = {"mu": ("rips", False), "nu": ("cech", False),
 _FLAVOR_KINDS = {"rips": ("mu", "phi"), "cech": ("nu", "theta")}
 
 
+def _sample_count(samples) -> int:
+    """samples as an int: integer-valued numbers pass (1e6 is 1000000), anything else fails."""
+    integral = isinstance(samples, numbers.Integral) or (
+        isinstance(samples, numbers.Real) and float(samples).is_integer())
+    if isinstance(samples, bool) or not integral:
+        raise InputError(f"samples must be an integer-valued number, got {samples!r}")
+    if samples < 1:
+        raise InputError(f"samples must be >= 1, got {samples}")
+    return int(samples)
+
+
 def _estimate(kind: str, k: int, l: int | None, j: int | None, d: int, density: Density,
-              region: RegionSpec, samples: int, seed: int,
-              threads: int | None) -> ConstantEstimate:
-    """Any constant kind; a face constant (no l or j) is the pair (k, k, k + 1)."""
+              region: RegionSpec, samples, seed: int, threads: int | None) -> ConstantEstimate:
+    """Any constant kind; a face constant (no l or j) is the pair (k, k, k + 1).
+
+    The outer factor integral_A f^{m+1} samples x ~ f.  The inner factor is
+    the indicator integral over (R^d)^m, m = k + l + 1 - j: the indicator
+    vanishes unless every point lies in the unit ball around the origin
+    (every tuple holds the origin and is admissible at scale 1), so uniform
+    draws from B(0, 1)^m with the matching volume factor are exact.  Each
+    distinct member list is tested once.
+    """
     flavor, pair = _KINDS[kind]
     if pair and (l is None or j is None):
         raise ConfigurationError(f"kind {kind!r} requires l and j")
@@ -229,15 +296,23 @@ def _estimate(kind: str, k: int, l: int | None, j: int | None, d: int, density: 
         raise InputError("face dimensions must be nonnegative")
     if not 1 <= j <= min(k, l) + 1:
         raise InputError(f"overlap j={j} outside 1..min(k,l)+1={min(k, l) + 1}")
-    if samples < 1:
-        raise InputError(f"samples must be >= 1, got {samples}")
+    samples = _sample_count(samples)
     if density.dimension != d:
         raise InputError(f"density dimension {density.dimension} != d={d}")
-    inner_points = k + l + 1 - j
-    outer = _outer_factor(inner_points, density, region, samples, seed, threads)
-    first = list(range(k + 1))
-    second = list(range(j)) + list(range(k + 1, k + l + 2 - j))
-    inner = _inner_factor(inner_points, d, [first, second], flavor, samples, seed, threads)
+    m = k + l + 1 - j
+    jobs = [(_outer_worker(m, density, region, seed), _SHARD)]
+    if m:
+        first = tuple(range(k + 1))
+        second = tuple(range(j)) + tuple(range(k + 1, k + l + 2 - j))
+        distinct = list(dict.fromkeys((first, second)))
+        jobs.append((_inner_worker(m, d, distinct, flavor, seed), max(1, _SHARD // m)))
+    sums = _sharded_sums(jobs, samples, threads)
+    outer = _mean_and_se(*sums[0], samples)
+    inner = (1.0, 0.0)
+    if m:
+        volume = unit_ball_volume(d) ** m
+        mean, se = _mean_and_se(*sums[1], samples)
+        inner = (mean * volume, se * volume)
     coeff = 1.0 / (math.factorial(j) * math.factorial(k + 1 - j) * math.factorial(l + 1 - j))
     value, stderr = _product_estimate(coeff, outer, inner)
     return ConstantEstimate(value=value, stderr=stderr, samples=samples, kind=kind, k=k,

@@ -18,7 +18,7 @@ from softplex import (
     retention_exponent,
     unit_ball_volume,
 )
-from softplex.constants import _estimate, _sample_unit_ball, _tuple_indicator, log_growth_quantity
+from softplex.constants import _admissible, _estimate, log_growth_quantity
 
 UNIT_1D = UniformBox(lo=[0.0], hi=[1.0])
 UNIT_2D = UniformBox(lo=[0.0, 0.0], hi=[1.0, 1.0])
@@ -80,11 +80,13 @@ def test_mu_k2_d1_uniform():
 def test_nu_equals_mu_for_edges():
     # both edge indicators are |x| <= 1; the estimates cannot show it, since
     # they sample x from the unit ball where both always hold, so the test
-    # evaluates the indicators on points of the ball of radius 2
-    block = 2.0 * _sample_unit_ball(np.random.default_rng(5), 4000, 2)[:, None, :]
-    inside = np.einsum("ij,ij->i", block[:, 0], block[:, 0]) <= 1.0
-    clique = _tuple_indicator(block, [0, 1], "rips")
-    ball = _tuple_indicator(block, [0, 1], "cech")
+    # evaluates the indicators on points of the square [-2, 2]^2, as the
+    # origin-prefixed (2, d, rows) planes the estimator tests
+    planes = np.zeros((2, 2, 4000))
+    planes[1] = np.random.default_rng(5).uniform(-2.0, 2.0, (2, 4000))
+    inside = np.einsum("kc,kc->c", planes[1], planes[1]) <= 1.0
+    clique = _admissible(planes, [(0, 1)], "rips")
+    ball = _admissible(planes, [(0, 1)], "cech")
     assert 0 < inside.sum() < inside.size
     assert np.array_equal(clique, ball)
     assert np.array_equal(clique, inside)
@@ -162,6 +164,19 @@ def test_every_kind_rejects_nonpositive_samples(samples):
     for estimate in (estimate_phi, estimate_theta):
         with pytest.raises(InputError):
             estimate(1, 1, 1, 1, UNIT_1D, samples=samples, seed=1)
+
+
+def test_integer_valued_sample_counts_are_accepted():
+    # scientific notation reads as a count, as the CLI's --samples does
+    est = estimate_mu(1, 1, UNIT_1D, samples=1e3, seed=1)
+    assert est.samples == 1000 and type(est.samples) is int
+    assert est == estimate_mu(1, 1, UNIT_1D, samples=1000, seed=1)
+
+
+@pytest.mark.parametrize("samples", [2.5, "100"])
+def test_other_sample_counts_are_input_errors(samples):
+    with pytest.raises(InputError, match="integer-valued"):
+        estimate_mu(1, 1, UNIT_1D, samples=samples, seed=1)
 
 
 def test_face_kinds_refuse_pair_arguments():
