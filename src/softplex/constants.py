@@ -29,9 +29,11 @@ doubles, bound by memory.  Blocks change how the work is cut, not a value:
 every step is elementwise or per tuple, so the estimates do not depend on
 the block length.  That is why the length is a fixed constant and not a
 parameter: it would select nothing but speed, and its best value is set by
-the cache.  Sums of squares over the planes add the coordinates in the
-order that np.einsum("ij,ij->i") uses on rows (two SIMD lanes, the even and
-the odd coordinates); a plain plane-by-plane sum differs from d = 3 on.
+the cache.  Squared lengths are the sums np.einsum("ij,ij->i") takes over
+contiguous rows, as in the row-wise code.  einsum adds three or more
+coordinates in its own SIMD-lane order, which a plane-by-plane sum does not
+follow, so from d = 3 on the planes go back to rows for einsum; in d <= 2
+every order gives the same sum and the planes are added directly.
 
 The closed-form side evaluates predicted means, variances, and covariances
 in log space from (n, r, rho) plus estimated constants, through one scale
@@ -57,7 +59,7 @@ from .complexes import _min_ball_radii
 from .densities import Density
 from .errors import ConfigurationError, InputError
 from .geometry import ALL_SPACE, RegionSpec, region_mask
-from .rng import MC_INNER_STREAM, MC_OUTER_STREAM, box_muller, generator
+from .rng import MC_INNER_STREAM, MC_OUTER_STREAM, box_muller, box_muller_radii, generator
 
 # samples per shard of the outer factor (the inner one takes _SHARD // m
 # tuples of m points); shards are fixed, so results never depend on threads
@@ -164,26 +166,20 @@ def _outer_worker(power: int, density: Density, region: RegionSpec, seed: int):
 
 
 def _sum_of_squares(planes: np.ndarray) -> np.ndarray:
-    """Sum over the leading (coordinate) axis of planes ** 2, in einsum's order.
+    """Sum over the leading (coordinate) axis of planes ** 2, as np.einsum sums a row.
 
-    np.einsum("ij,ij->i") adds a row in two SIMD lanes, the even and the odd
-    coordinates, and adds the lanes last; a row of eight or more first takes
-    whole blocks of eight, the coordinates of a block from the last to the
-    first.  Adding the planes in that order keeps the squared distances, and
-    so every indicator, bit-identical to an einsum over contiguous rows;
-    `tests/test_constants_blocked.py` checks the order against einsum for
-    d = 1..16.
+    Up to two coordinates every order of the sum is the same, so the planes
+    are added directly.  From three coordinates on, einsum's order is its
+    own (it adds a row in SIMD lanes), so the planes are copied to
+    contiguous rows and einsum sums them.
     """
-    d = planes.shape[0]
-    head = d - d % 8
-    order = [block + 2 * step + lane for block in range(0, head, 8)
-             for step in (3, 2, 1, 0) for lane in (0, 1)]
-    lanes = [None, None]
-    for axis in order + list(range(head, d)):
-        sq = planes[axis] * planes[axis]
-        lane = lanes[axis % 2]
-        lanes[axis % 2] = sq if lane is None else np.add(sq, lane, out=sq)
-    return lanes[0] if lanes[1] is None else np.add(lanes[0], lanes[1], out=lanes[0])
+    if planes.shape[0] > 2:
+        rows = np.moveaxis(planes, 0, -1).copy()
+        return np.einsum("...i,...i->...", rows, rows)
+    sq = planes[0] * planes[0]
+    for plane in planes[1:]:
+        sq += plane * plane
+    return sq
 
 
 def _admissible(planes: np.ndarray, member_lists, flavor: str) -> np.ndarray:
@@ -208,13 +204,13 @@ def _inner_worker(m: int, d: int, member_lists, flavor: str, seed: int):
     A shard draws its uniforms for the whole shard, in the stream's fixed
     order: for d >= 2 the Box-Muller pairs u1 and u2 of size * m
     directions, then one radius draw per point; for d = 1 one coordinate per
-    point.  Everything after the draws runs on blocks of at most _BLOCK
-    tuples: a block's points become origin-prefixed (m + 1, d, rows)
-    coordinate planes, scaled into the unit ball, and its tuples are
-    tested on those planes.  The blocks split a shard evenly, so a block
-    holds one tuple only when its shard does: from d = 3 on, the
-    enclosing-ball kernel's einsums add the coordinates of a one-tuple block
-    in another order.
+    point.  The Box-Muller radii of u1 are taken once, over the whole shard.
+    Everything else runs on blocks of at most _BLOCK tuples: a block's
+    normals, scaled into the unit ball, become origin-prefixed
+    (m + 1, d, rows) coordinate planes, and its tuples are tested on those
+    planes.  The blocks split a shard evenly, so a block holds one tuple
+    only when its shard does: from d = 3 on, the enclosing-ball kernel's
+    einsums add the coordinates of a one-tuple block in another order.
     """
 
     def worker(index: int, size: int):
@@ -223,7 +219,8 @@ def _inner_worker(m: int, d: int, member_lists, flavor: str, seed: int):
             coords = rng.random(size * m)
         else:
             pairs = (size * m * d + 1) // 2
-            u1, u2 = rng.random(pairs), rng.random(pairs)
+            lengths = box_muller_radii(rng.random(pairs))  # from u1, in place
+            u2 = rng.random(pairs)
             radii = rng.random(size * m)
         ok = np.empty(size, dtype=bool)
         blocks = -(-size // _BLOCK)
@@ -237,7 +234,7 @@ def _inner_worker(m: int, d: int, member_lists, flavor: str, seed: int):
                 points *= 2.0
                 points -= 1.0
             else:
-                normals = box_muller(u1, u2, lo * m * d, np.empty(rows * m * d))
+                normals = box_muller(lengths, u2, lo * m * d, np.empty(rows * m * d))
                 points[...] = normals.reshape(rows, m, d).transpose(1, 2, 0)
                 norms = np.sqrt(_sum_of_squares(points.transpose(1, 0, 2)))
                 norms[norms == 0] = 1.0

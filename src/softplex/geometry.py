@@ -183,27 +183,17 @@ def region_from_config(config: dict) -> RegionSpec:
 
 
 def region_mask(points: np.ndarray, region: RegionSpec) -> np.ndarray:
-    """Vectorized membership; the box is open, its complement excludes the closed box.
-
-    The test runs one coordinate column at a time: a comparison broadcast
-    over (n, d) rows loops d elements at a time.
-    """
+    """Vectorized membership; the box is open, its complement excludes the closed box."""
     points = np.asarray(points, dtype=np.float64)
     if region.kind == "all":
         return np.ones(points.shape[0], dtype=bool)
-    if points.shape[1] != len(region.lo):
-        raise InputError(f"points of dimension {points.shape[1]} vs region of dimension {len(region.lo)}")
-    box = region.kind == "box"
-    mask = np.full(points.shape[0], box)
-    for axis, (lo, hi) in enumerate(zip(region.lo, region.hi)):
-        column = points[:, axis]
-        if box:
-            mask &= column > lo
-            mask &= column < hi
-        else:
-            mask |= column < lo
-            mask |= column > hi
-    return mask
+    lo = np.asarray(region.lo)
+    hi = np.asarray(region.hi)
+    if points.shape[1] != lo.shape[0]:
+        raise InputError(f"points of dimension {points.shape[1]} vs region of dimension {lo.shape[0]}")
+    if region.kind == "box":
+        return np.all((points > lo) & (points < hi), axis=1)
+    return np.any((points < lo) | (points > hi), axis=1)
 
 
 def in_region(point, region: RegionSpec) -> bool:

@@ -51,26 +51,32 @@ def generator(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_seed(seed, *path)))
 
 
-def box_muller(u1: np.ndarray, u2: np.ndarray, start: int, out: np.ndarray) -> np.ndarray:
-    """Normals start .. start + out.size - 1 of the Box-Muller sequence of (u1, u2).
+def box_muller_radii(u1: np.ndarray) -> np.ndarray:
+    """The Box-Muller radii sqrt(-2 log(1 - u1)), computed in place over u1."""
+    np.negative(u1, out=u1)
+    np.log1p(u1, out=u1)  # 1 - u1 in (0, 1], log finite
+    u1 *= -2.0
+    return np.sqrt(u1, out=u1)
 
-    The sequence holds 2 * len(u1) normals (Box & Muller 1958): normal i is
-    radius(u1[i]) * cos(angle(u2[i])) for i < len(u1), and normal len(u1) + i
-    is the sine of the same pair.  Computing a range at a time lets a caller
-    work on cache-sized blocks; every value depends on its own pair only, so
-    any split gives the same normals.
+
+def box_muller(radii: np.ndarray, u2: np.ndarray, start: int, out: np.ndarray) -> np.ndarray:
+    """Normals start .. start + out.size - 1 of the Box-Muller sequence of (radii, u2).
+
+    radii is box_muller_radii(u1).  The sequence holds 2 * len(radii)
+    normals (Box & Muller 1958): normal i is radii[i] * cos(2 pi u2[i]) for
+    i < len(radii), and normal len(radii) + i is the sine of the same pair.
+    Computing a range at a time lets a caller work on cache-sized blocks;
+    every value depends on its own pair only, so any split gives the same
+    normals.
     """
-    pairs = u1.shape[0]
+    pairs = radii.shape[0]
     cut = min(max(pairs - start, 0), out.shape[0])  # normals of out from the cosine half
     for trig, part, first in ((np.cos, out[:cut], start), (np.sin, out[cut:], start + cut - pairs)):
         if part.size:
             stop = first + part.size
-            np.negative(u1[first:stop], out=part)
-            np.log1p(part, out=part)  # 1 - u1 in (0, 1], log finite
-            part *= -2.0
-            np.sqrt(part, out=part)
-            angle = np.multiply(u2[first:stop], 2.0 * np.pi)
-            part *= trig(angle, out=angle)
+            np.multiply(u2[first:stop], 2.0 * np.pi, out=part)
+            trig(part, out=part)
+            part *= radii[first:stop]
     return out
 
 
@@ -79,7 +85,7 @@ def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
     pairs = (count + 1) // 2
     u1 = rng.random(pairs)
     u2 = rng.random(pairs)
-    return box_muller(u1, u2, 0, np.empty(count))
+    return box_muller(box_muller_radii(u1), u2, 0, np.empty(count))
 
 
 _U30, _U27, _U31, _U11 = (np.uint64(shift) for shift in (30, 27, 31, 11))

