@@ -3,10 +3,13 @@
 Subcommands: sample (point clouds to CSV), build (complex face dumps),
 constants (Monte Carlo constant estimation to JSON), experiment run /
 experiment report (replication tables and CLT reports), and regime
-(hypothesis proxy checks).  Configs are JSON, bulk output is CSV, reports
-are JSON; every artifact embeds the fully-resolved configuration, and
+(hypothesis proxy checks).  Each is a thin shell: one reader per input kind,
+one library call, one writer per output kind.  JSON-valued flags (--config,
+--density, --region) take an inline object (text starting with '{') or a
+file path.  Every artifact embeds the fully-resolved configuration, and
 reruns with the same config and seed are byte-identical regardless of the
-worker count.
+worker count.  Malformed input, usage errors included, logs one ERROR line
+and exits 1; a refusal by the memory guard exits 2.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 from scipy.special import ndtri
@@ -25,16 +30,19 @@ from .constants import _estimate, regime_check
 from .densities import UniformBox, GaussianIsotropic, density_from_config
 from .errors import ConfigurationError, MemoryGuardError, SoftplexError
 from .geometry import ALL_SPACE, build_graph, region_from_config
-from .experiments import (
-    ReplicationResult,
-    clt_report,
-    config_from_dict,
-    run_experiment,
-    statistic_samples,
-)
+from .experiments import (ReplicationResult, clt_report, config_from_dict, run_experiment,
+                          statistic_samples)
 from .point_process import sample_binomial, sample_poisson
 
 log = logging.getLogger("softplex")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigurationError, so main reports them like any other input."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigurationError(f"{self.prog}: {message}")
 
 
 def _canonical_json(payload) -> str:
@@ -46,11 +54,46 @@ def _fmt(value) -> str:
 
 
 def _parse_count(text: str) -> int:
-    # accept scientific notation for counts (1e6)
+    # accept scientific notation for counts (1e6); inf and nan are not integers
     value = float(text)
-    if value != int(value):
-        raise argparse.ArgumentTypeError(f"expected an integer-valued number, got {text!r}")
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"expected a finite integer-valued number, got {text!r}")
     return int(value)
+
+
+def _positive(kind):
+    """An argparse type: a finite number of the given kind, above 0."""
+    def parse(text: str):
+        value = kind(text)
+        if not 0 < value < math.inf:
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite positive {kind.__name__}")
+        return value
+    parse.__name__ = kind.__name__
+    return parse
+
+
+def _parse_rho(text: str) -> tuple:
+    return tuple(float(v) for v in text.split(","))
+
+
+def _read_text(path: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigurationError(f"cannot read {path}: {exc}") from None
+
+
+def _load_json(spec: str):
+    """The value of a JSON flag: an inline object (text starting with '{') or a file path."""
+    inline = spec.lstrip().startswith("{")
+    try:
+        return json.loads(spec if inline else _read_text(spec))
+    except json.JSONDecodeError as exc:
+        source = "inline JSON" if inline else spec
+        raise ConfigurationError(
+            f"malformed JSON in {source} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
 
 
 def _parse_density(spec: str, d: int):
@@ -58,30 +101,46 @@ def _parse_density(spec: str, d: int):
         return UniformBox(lo=[0.0] * d, hi=[1.0] * d)
     if spec == "gaussian":
         return GaussianIsotropic(mean=[0.0] * d, sigma=1.0)
-    if spec.lstrip().startswith("{"):
-        return density_from_config(json.loads(spec))
-    with open(spec, encoding="utf-8") as handle:
-        return density_from_config(json.load(handle))
+    return density_from_config(_load_json(spec))
+
+
+def _results_header(k_max: int) -> list[str]:
+    return ["rep"] + [f"f{k}" for k in range(k_max + 1)] + ["chi", "n_points"]
+
+
+def _read_results_csv(path: str, header: list[str]) -> list[ReplicationResult]:
+    lines = [line.strip() for line in _read_text(path).splitlines()]
+    lines = [line for line in lines if line and not line.startswith("#")]
+    if len(lines) < 2:
+        raise ConfigurationError(f"results file {path} has no data rows")
+    if lines[0].split(",") != header:
+        raise ConfigurationError(f"results header {lines[0]} does not match config ({header})")
+    try:
+        rows = [[int(cell) for cell in line.split(",")] for line in lines[1:]]
+    except ValueError as exc:
+        raise ConfigurationError(f"results file {path}: {exc}") from None
+    if any(len(row) != len(header) for row in rows):
+        raise ConfigurationError(f"results file {path} has rows of another width than its header")
+    return [ReplicationResult(index=row[0], f=tuple(row[1:-2]), chi=row[-2], n_points=row[-1],
+                              seconds=0.0) for row in rows]
+
+
+def _write_lines(path: str, lines) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(lines)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {path}: {exc}") from None
 
 
 def _write_csv(path: str, header: list[str], rows, config_payload) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"# config {_canonical_json(config_payload)}\n")
-        handle.write(",".join(header) + "\n")
-        for row in rows:
-            handle.write(",".join(str(v) for v in row) + "\n")
+    _write_lines(path, chain([f"# config {_canonical_json(config_payload)}\n",
+                              ",".join(header) + "\n"],
+                             (",".join(str(v) for v in row) + "\n" for row in rows)))
 
 
-def _load_json(path: str):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except FileNotFoundError:
-        raise ConfigurationError(f"config file not found: {path}")
-    except json.JSONDecodeError as exc:
-        raise ConfigurationError(
-            f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        )
+def _write_json(path: str, payload) -> None:
+    _write_lines(path, [_canonical_json(payload) + "\n"])
 
 
 def _thread_count(args) -> int | None:
@@ -96,17 +155,9 @@ def _thread_count(args) -> int | None:
 
 def _cmd_sample(args) -> int:
     density = _parse_density(args.density, args.d)
-    if args.poisson:
-        cloud = sample_poisson(args.n, density, args.seed)
-    else:
-        cloud = sample_binomial(args.n, density, args.seed)
-    payload = {
-        "subcommand": "sample",
-        "n": args.n,
-        "poisson": args.poisson,
-        "density": density.to_config(),
-        "seed": args.seed,
-    }
+    cloud = (sample_poisson if args.poisson else sample_binomial)(args.n, density, args.seed)
+    payload = {"subcommand": "sample", "n": args.n, "poisson": args.poisson,
+               "density": density.to_config(), "seed": args.seed}
     header = [f"x{i}" for i in range(cloud.dimension)]
     _write_csv(args.out, header, (map(_fmt, row) for row in cloud.points), payload)
     log.info("wrote %d points to %s", len(cloud), args.out)
@@ -116,16 +167,9 @@ def _cmd_sample(args) -> int:
 def _cmd_build(args) -> int:
     density = _parse_density(args.density, args.d)
     cloud = sample_binomial(args.n, density, args.seed)
-    payload = {
-        "subcommand": "build",
-        "model": args.model,
-        "n": args.n,
-        "r": args.r,
-        "kmax": args.kmax,
-        "density": density.to_config(),
-        "rho": args.rho,
-        "seed": args.seed,
-    }
+    payload = {"subcommand": "build", "model": args.model, "n": args.n, "r": args.r,
+               "kmax": args.kmax, "density": density.to_config(), "rho": args.rho,
+               "seed": args.seed}
     complex_ = build_complex(build_graph(cloud, args.r), args.kmax, args.model, args.rho,
                              args.seed)
     edges = complex_.faces_by_dim[1] if args.kmax >= 1 else np.empty((0, 2), np.int64)
@@ -139,13 +183,12 @@ def _cmd_build(args) -> int:
 
 def _cmd_constants(args) -> int:
     density = _parse_density(args.density, args.d)
-    region = region_from_config(json.loads(args.region)) if args.region else ALL_SPACE
+    region = region_from_config(_load_json(args.region)) if args.region else ALL_SPACE
     est = _estimate(args.kind, args.k, args.l, args.j, args.d, density, region, args.samples,
                     args.seed, _thread_count(args))
     payload = est.to_json()
     payload["params"].update({"d": args.d, "density": density.to_config(), "seed": args.seed})
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(_canonical_json(payload) + "\n")
+    _write_json(args.out, payload)
     log.info("%s estimate %.6g +/- %.2g -> %s", args.kind, est.value, est.stderr, args.out)
     return 0
 
@@ -154,12 +197,7 @@ def _resolved_config(args) -> "ExperimentConfig":
     raw = _load_json(args.config)
     if not isinstance(raw, dict):
         raise ConfigurationError("experiment config must be a JSON object")
-    overrides = {
-        "n": args.n,
-        "r": args.r,
-        "k_max": args.kmax,
-        "master_seed": args.seed,
-    }
+    overrides = {"n": args.n, "r": args.r, "k_max": args.kmax, "master_seed": args.seed}
     for key, value in overrides.items():
         if value is not None:
             raw[key] = value
@@ -171,64 +209,32 @@ def _resolved_config(args) -> "ExperimentConfig":
 def _cmd_experiment_run(args) -> int:
     config = _resolved_config(args)
     results = run_experiment(config, threads=_thread_count(args))
-    header = ["rep"] + [f"f{k}" for k in range(config.k_max + 1)] + ["chi", "n_points"]
     rows = [[res.index, *res.f, res.chi, res.n_points] for res in results]
-    _write_csv(args.out, header, rows, config.to_config())
-    total = sum(res.seconds for res in results)
-    log.info("%d replications in %.2fs total work time -> %s",
-             len(results), total, args.out)
+    _write_csv(args.out, _results_header(config.k_max), rows, config.to_config())
+    log.info("%d replications in %.2fs total work time -> %s", len(results),
+             sum(res.seconds for res in results), args.out)
     return 0
-
-
-def _read_results_csv(path: str):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = [line.strip() for line in handle if line.strip()]
-    except FileNotFoundError:
-        raise ConfigurationError(f"results file not found: {path}")
-    lines = [line for line in lines if not line.startswith("#")]
-    if len(lines) < 2:
-        raise ConfigurationError(f"results file {path} has no data rows")
-    header = lines[0].split(",")
-    rows = [list(map(int, line.split(","))) for line in lines[1:]]
-    return header, rows
 
 
 def _cmd_experiment_report(args) -> int:
     config = _resolved_config(args)
-    header, rows = _read_results_csv(args.results)
-    expected = ["rep"] + [f"f{k}" for k in range(config.k_max + 1)] + ["chi", "n_points"]
-    if header != expected:
-        raise ConfigurationError(f"results header {header} does not match config ({expected})")
-    results = [
-        ReplicationResult(index=row[0], f=tuple(row[1:-2]), chi=row[-2],
-                          n_points=row[-1], seconds=0.0)
-        for row in rows
-    ]
+    results = _read_results_csv(args.results, _results_header(config.k_max))
     report = clt_report(results, config)
-    payload = {"config": config.to_config(), "report": report.to_json()}
-    with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(_canonical_json(payload) + "\n")
-    qq_path = os.path.splitext(args.out)[0] + ".qq.csv"
     z = np.sort(statistic_samples(results, config))
     z = (z - z.mean()) / z.std() if z.std() > 0 else z * 0.0
     theoretical = ndtri((np.arange(1, len(z) + 1) - 0.5) / len(z))
+    _write_json(args.out, {"config": config.to_config(), "report": report.to_json()})
+    qq_path = os.path.splitext(args.out)[0] + ".qq.csv"
     _write_csv(qq_path, ["theoretical", "empirical"],
-               ([_fmt(t), _fmt(e)] for t, e in zip(theoretical, z)),
-               config.to_config())
+               ([_fmt(t), _fmt(e)] for t, e in zip(theoretical, z)), config.to_config())
     log.info("report -> %s, qq plot data -> %s", args.out, qq_path)
     return 0
 
 
-def _parse_rho(text: str) -> tuple:
-    return tuple(float(v) for v in text.split(","))
-
-
 def _cmd_regime(args) -> int:
     rho = args.rho if args.rho is not None else (1.0,) * max(args.k + 1, 2)
-    r = args.r if args.r is not None else float(args.n) ** (-args.a / args.d)
-    mode = ("chi", args.k) if args.mode == "chi" else ("fk", args.k)
-    report = regime_check(args.n, r, args.d, rho, mode,
+    r = args.r if args.a is None else args.n ** (-args.a / args.d)
+    report = regime_check(args.n, r, args.d, rho, (args.mode, args.k),
                           sparse_threshold=args.sparse_threshold,
                           growth_threshold=args.growth_threshold,
                           vanish_threshold=args.vanish_threshold)
@@ -237,33 +243,30 @@ def _cmd_regime(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="softplex",
-        description="Simulation and statistical verification of soft random geometric complexes",
-    )
+    parser = _Parser(prog="softplex", description="Simulation and statistical verification "
+                     "of soft random geometric complexes")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_sample = sub.add_parser("sample", help="sample a point cloud to CSV")
-    p_sample.add_argument("--n", type=_parse_count, required=True)
-    p_sample.add_argument("--density", default="uniform")
-    p_sample.add_argument("--d", type=int, default=1)
-    p_sample.add_argument("--seed", type=_parse_count, default=0)
+    cloud = _Parser(add_help=False)  # the flags of sample and build
+    cloud.add_argument("--n", type=_parse_count, required=True)
+    cloud.add_argument("--density", default="uniform",
+                       help="uniform, gaussian, or density JSON (inline object or file path)")
+    cloud.add_argument("--d", type=int, default=1)
+    cloud.add_argument("--seed", type=_parse_count, default=0)
+    cloud.add_argument("--out", required=True, help="output path (a prefix for build)")
+
+    p_sample = sub.add_parser("sample", parents=[cloud], help="sample a point cloud to CSV")
     p_sample.add_argument("--poisson", action="store_true",
                           help="treat --n as a Poisson intensity")
-    p_sample.add_argument("--out", required=True)
     p_sample.set_defaults(func=_cmd_sample)
 
-    p_build = sub.add_parser("build", help="build a complex and dump faces per dimension")
+    p_build = sub.add_parser("build", parents=[cloud],
+                             help="build a complex and dump faces per dimension")
     p_build.add_argument("--model", choices=["rips", "cech"], default="rips")
-    p_build.add_argument("--n", type=_parse_count, required=True)
     p_build.add_argument("--r", type=float, required=True)
     p_build.add_argument("--kmax", type=int, default=4)
-    p_build.add_argument("--density", default="uniform")
-    p_build.add_argument("--d", type=int, default=1)
     p_build.add_argument("--rho", type=_parse_rho, default=None,
                          help="comma-separated retention probabilities p1,p2,...")
-    p_build.add_argument("--seed", type=_parse_count, default=0)
-    p_build.add_argument("--out", required=True, help="output path prefix")
     p_build.set_defaults(func=_cmd_build)
 
     p_const = sub.add_parser("constants", help="Monte Carlo constant estimation")
@@ -272,8 +275,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_const.add_argument("--l", type=int, default=None)
     p_const.add_argument("--j", type=int, default=None)
     p_const.add_argument("--d", type=int, required=True)
-    p_const.add_argument("--density", default="uniform")
-    p_const.add_argument("--region", default=None, help="region JSON, default all space")
+    p_const.add_argument("--density", default="uniform",
+                         help="uniform, gaussian, or density JSON (inline object or file path)")
+    p_const.add_argument("--region", default=None,
+                         help="region JSON (inline object or file path), default all space")
     p_const.add_argument("--samples", type=_parse_count, default=1_000_000)
     p_const.add_argument("--seed", type=_parse_count, default=0)
     p_const.add_argument("--threads", type=int, default=None)
@@ -283,31 +288,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="replicated simulations")
     exp_sub = p_exp.add_subparsers(dest="experiment_command", required=True)
 
-    p_run = exp_sub.add_parser("run", help="run replications to a CSV table")
-    p_run.add_argument("--config", required=True)
-    p_run.add_argument("--out", required=True)
-    p_run.add_argument("--n", type=_parse_count, default=None)
-    p_run.add_argument("--r", type=float, default=None)
-    p_run.add_argument("--kmax", type=int, default=None)
-    p_run.add_argument("--seed", type=_parse_count, default=None)
+    experiment = _Parser(add_help=False)  # the flags of experiment run and report
+    experiment.add_argument("--config", required=True,
+                            help="experiment JSON (inline object or file path)")
+    experiment.add_argument("--out", required=True)
+    experiment.add_argument("--n", type=_parse_count, default=None)
+    experiment.add_argument("--r", type=float, default=None)
+    experiment.add_argument("--kmax", type=int, default=None)
+    experiment.add_argument("--seed", type=_parse_count, default=None)
+
+    p_run = exp_sub.add_parser("run", parents=[experiment],
+                               help="run replications to a CSV table")
     p_run.add_argument("--threads", type=int, default=None)
     p_run.set_defaults(func=_cmd_experiment_run)
 
-    p_rep = exp_sub.add_parser("report", help="CLT report from a results CSV")
-    p_rep.add_argument("--config", required=True)
+    p_rep = exp_sub.add_parser("report", parents=[experiment],
+                               help="CLT report from a results CSV")
     p_rep.add_argument("--in", dest="results", required=True)
-    p_rep.add_argument("--out", required=True)
-    p_rep.add_argument("--n", type=_parse_count, default=None)
-    p_rep.add_argument("--r", type=float, default=None)
-    p_rep.add_argument("--kmax", type=int, default=None)
-    p_rep.add_argument("--seed", type=_parse_count, default=None)
     p_rep.set_defaults(func=_cmd_experiment_report)
 
     p_reg = sub.add_parser("regime", help="check regime hypotheses for (n, r, rho)")
-    p_reg.add_argument("--n", type=float, required=True)
-    p_reg.add_argument("--d", type=int, required=True)
-    p_reg.add_argument("--r", type=float, default=None)
-    p_reg.add_argument("--a", type=float, default=None, help="rule r^d = n^(-a)")
+    p_reg.add_argument("--n", type=_positive(float), required=True)
+    p_reg.add_argument("--d", type=_positive(int), required=True)
+    radius = p_reg.add_mutually_exclusive_group(required=True)
+    radius.add_argument("--r", type=float)
+    radius.add_argument("--a", type=float, help="rule r^d = n^(-a)")
     p_reg.add_argument("--k", type=int, required=True, help="face dimension k (or l for chi)")
     p_reg.add_argument("--mode", choices=["fk", "chi"], default="fk")
     p_reg.add_argument("--rho", type=_parse_rho, default=None)
@@ -322,20 +327,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 1 if exc.code not in (0, None) else 0
-    if args.subcommand == "regime" and (args.r is None) == (args.a is None):
-        log.error("regime requires exactly one of --r / --a")
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except MemoryGuardError as exc:
         log.error("refused: %s", exc)
         return 2
-    except (SoftplexError, json.JSONDecodeError) as exc:
+    except SoftplexError as exc:
         log.error("%s", exc)
         return 1
 

@@ -340,6 +340,10 @@ def _min_ball_radii(tuples: np.ndarray) -> np.ndarray:
     count, m, d = tuples.shape
     if m == 1:
         return np.zeros(count)
+    if count == 1:
+        # einsum sums a one-column block in another order; a block of two keeps
+        # the batched order, so a radius does not depend on the batch size
+        return _min_ball_radii(np.repeat(tuples, 2, axis=0))[:1]
     # (m, d, count): every coordinate of every point is one contiguous row;
     # no copy when the block is a transposed view of such planes
     planes = np.ascontiguousarray(tuples.transpose(1, 2, 0))

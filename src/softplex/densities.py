@@ -52,8 +52,8 @@ class UniformBox(Density):
     def __init__(self, lo, hi):
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
-        if lo.ndim != 1 or lo.shape != hi.shape:
-            raise ConfigurationError("uniform-box lo/hi must be equal-length vectors")
+        if lo.ndim != 1 or lo.size == 0 or lo.shape != hi.shape:
+            raise ConfigurationError("uniform-box lo/hi must be equal-length nonempty vectors")
         if not np.all(hi > lo):
             raise ConfigurationError("uniform-box requires hi > lo in every coordinate")
         self.lo = lo
@@ -87,8 +87,8 @@ class UniformBox(Density):
 class GaussianIsotropic(Density):
     def __init__(self, mean, sigma):
         mean = np.asarray(mean, dtype=np.float64)
-        if mean.ndim != 1:
-            raise ConfigurationError("gaussian mean must be a vector")
+        if mean.ndim != 1 or mean.size == 0:
+            raise ConfigurationError("gaussian mean must be a nonempty vector")
         sigma = float(sigma)
         if not sigma > 0:
             raise ConfigurationError("gaussian sigma must be positive")
@@ -130,8 +130,8 @@ class PiecewiseConstantGrid(Density):
         lo = np.asarray(lo, dtype=np.float64)
         hi = np.asarray(hi, dtype=np.float64)
         w = np.asarray(weights, dtype=np.float64)
-        if lo.ndim != 1 or lo.shape != hi.shape:
-            raise ConfigurationError("grid lo/hi must be equal-length vectors")
+        if lo.ndim != 1 or lo.size == 0 or lo.shape != hi.shape:
+            raise ConfigurationError("grid lo/hi must be equal-length nonempty vectors")
         if not np.all(hi > lo):
             raise ConfigurationError("grid requires hi > lo in every coordinate")
         if w.ndim != lo.shape[0]:
@@ -196,8 +196,8 @@ _DENSITY_FIELDS = {
 
 def density_from_config(config: dict) -> Density:
     """Build a density from its JSON description."""
-    if not isinstance(config, dict) or "kind" not in config:
-        raise ConfigurationError("density config must be an object with a 'kind'")
+    if not isinstance(config, dict) or not isinstance(config.get("kind"), str):
+        raise ConfigurationError("density config must be an object with a string 'kind'")
     kind = config["kind"]
     if kind not in _DENSITY_FIELDS:
         raise ConfigurationError(f"unsupported density kind: {kind!r}")
@@ -207,11 +207,14 @@ def density_from_config(config: dict) -> Density:
         raise ConfigurationError(
             f"density kind {kind!r} takes fields {sorted(expected)}, got {sorted(fields)}"
         )
-    if kind == "uniform-box":
-        return UniformBox(fields["lo"], fields["hi"])
-    if kind == "gaussian-isotropic":
-        return GaussianIsotropic(fields["mean"], fields["sigma"])
-    return PiecewiseConstantGrid(fields["lo"], fields["hi"], fields["weights"])
+    try:
+        if kind == "uniform-box":
+            return UniformBox(fields["lo"], fields["hi"])
+        if kind == "gaussian-isotropic":
+            return GaussianIsotropic(fields["mean"], fields["sigma"])
+        return PiecewiseConstantGrid(fields["lo"], fields["hi"], fields["weights"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"density config has a malformed field: {exc}") from None
 
 
 def density_eval(density: Density, x):

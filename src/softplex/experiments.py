@@ -56,12 +56,14 @@ class ExperimentConfig:
             raise ConfigurationError(f"model must be 'rips' or 'cech', got {self.model!r}")
         if self.process not in ("binomial", "poisson"):
             raise ConfigurationError(f"process must be 'binomial' or 'poisson', got {self.process!r}")
-        if self.n < 1 or self.d < 1 or self.k_max < 0:
+        if not (self.n >= 1 and self.d >= 1 and self.k_max >= 0):  # NaN fails too
             raise ConfigurationError("require n >= 1, d >= 1, k_max >= 0")
         if self.replications < 2:
             raise ConfigurationError("require at least 2 replications")
         if (self.r is None) == (self.r_exponent is None):
             raise ConfigurationError("exactly one of r / r_exponent must be given")
+        if self.r is not None and not self.r > 0:
+            raise ConfigurationError(f"r must be positive, got {self.r}")
         if self.rho is not None and self.rho_exponents is not None:
             raise ConfigurationError("give at most one of rho / rho_exponents")
         if self.statistic[0] == "fk":
@@ -136,37 +138,40 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     missing = _REQUIRED_KEYS - set(raw)
     if missing:
         raise ConfigurationError(f"missing config keys: {sorted(missing)}")
+    density = density_from_config(raw["density"]) if "density" in raw else None
+    region = region_from_config(raw["region"]) if "region" in raw else ALL_SPACE
     stat_raw = raw["statistic"]
     if not isinstance(stat_raw, dict) or "kind" not in stat_raw:
         raise ConfigurationError("statistic must be an object with a 'kind'")
-    if stat_raw["kind"] == "fk":
-        if set(stat_raw) != {"kind", "k"}:
-            raise ConfigurationError("statistic 'fk' takes exactly the field 'k'")
-        statistic = ("fk", int(stat_raw["k"]))
-    elif stat_raw["kind"] == "chi":
-        if set(stat_raw) != {"kind"}:
-            raise ConfigurationError("statistic 'chi' takes no extra fields")
-        statistic = ("chi",)
-    else:
-        raise ConfigurationError(f"unknown statistic kind {stat_raw['kind']!r}")
-    density = density_from_config(raw["density"]) if "density" in raw else None
-    region = region_from_config(raw["region"]) if "region" in raw else ALL_SPACE
-    return ExperimentConfig(
-        model=raw["model"],
-        process=raw["process"],
-        n=float(raw["n"]),
-        d=int(raw["d"]),
-        k_max=int(raw["k_max"]),
-        replications=int(raw["replications"]),
-        master_seed=int(raw["master_seed"]),
-        statistic=statistic,
-        density=density,
-        r=float(raw["r"]) if "r" in raw else None,
-        r_exponent=float(raw["r_exponent"]) if "r_exponent" in raw else None,
-        rho=tuple(raw["rho"]) if "rho" in raw else None,
-        rho_exponents=tuple(raw["rho_exponents"]) if "rho_exponents" in raw else None,
-        max_predicted_faces=float(raw.get("max_predicted_faces", DEFAULT_FACE_CAP)),
-    )
+    try:
+        if stat_raw["kind"] == "fk":
+            if set(stat_raw) != {"kind", "k"}:
+                raise ConfigurationError("statistic 'fk' takes exactly the field 'k'")
+            statistic = ("fk", int(stat_raw["k"]))
+        elif stat_raw["kind"] == "chi":
+            if set(stat_raw) != {"kind"}:
+                raise ConfigurationError("statistic 'chi' takes no extra fields")
+            statistic = ("chi",)
+        else:
+            raise ConfigurationError(f"unknown statistic kind {stat_raw['kind']!r}")
+        return ExperimentConfig(
+            model=raw["model"],
+            process=raw["process"],
+            n=float(raw["n"]),
+            d=int(raw["d"]),
+            k_max=int(raw["k_max"]),
+            replications=int(raw["replications"]),
+            master_seed=int(raw["master_seed"]),
+            statistic=statistic,
+            density=density,
+            r=float(raw["r"]) if "r" in raw else None,
+            r_exponent=float(raw["r_exponent"]) if "r_exponent" in raw else None,
+            rho=tuple(raw["rho"]) if "rho" in raw else None,
+            rho_exponents=tuple(raw["rho_exponents"]) if "rho_exponents" in raw else None,
+            max_predicted_faces=float(raw.get("max_predicted_faces", DEFAULT_FACE_CAP)),
+        )
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigurationError(f"experiment config has a malformed field: {exc}") from None
 
 
 @dataclass(frozen=True)

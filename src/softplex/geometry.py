@@ -179,7 +179,10 @@ def region_from_config(config: dict) -> RegionSpec:
     extra = set(config) - {"kind", "lo", "hi"}
     if extra:
         raise ConfigurationError(f"unknown region fields: {sorted(extra)}")
-    return RegionSpec(kind=config["kind"], lo=config.get("lo"), hi=config.get("hi"))
+    try:
+        return RegionSpec(kind=config["kind"], lo=config.get("lo"), hi=config.get("hi"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"region config has a malformed field: {exc}") from None
 
 
 def region_mask(points: np.ndarray, region: RegionSpec) -> np.ndarray:

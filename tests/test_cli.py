@@ -1,4 +1,5 @@
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -238,6 +239,80 @@ def test_bad_thread_count_exits_one(tmp_path, monkeypatch, caplog, flag, env):
     assert main(["experiment", "run", "--config", str(config), "--out", str(out), *flag]) == 1
     assert not out.exists()
     assert ("--threads" if flag else "SOFTPLEX_THREADS") in caplog.text
+
+
+BAD_CSVS = {"bad.csv": "rep,f0,f1,f2,chi,n_points\n0,300,2,x,298,300\n",
+            "short.csv": "rep,f0,f1,f2,chi,n_points\n0,0,0\n"}
+RUN = ["experiment", "run", "--config", "exp.json", "--out", "out.csv"]
+MALFORMED = {
+    # argv, and the overrides of the experiment config exp.json
+    "sample-n-inf": (["sample", "--n", "inf", "--out", "out.csv"], {}),
+    "sample-n-overflow": (["sample", "--n", "1e400", "--out", "out.csv"], {}),
+    "constants-samples-inf": (["constants", "--kind", "mu", "--k", "1", "--d", "1",
+                               "--samples", "inf", "--out", "out.json"], {}),
+    "config-n-string": (RUN, {"n": "abc"}),
+    "config-d-string": (RUN, {"d": "x"}),
+    "config-rho-scalar": (RUN, {"rho": 0.5}),
+    "config-statistic-k-string": (RUN, {"statistic": {"kind": "fk", "k": "a"}}),
+    "config-density-lo-string": (RUN, {"density": {"kind": "uniform-box", "lo": "ab",
+                                                   "hi": [1.0]}}),
+    "density-lo-string": (["sample", "--n", "5", "--out", "out.csv", "--density",
+                           '{"kind": "uniform-box", "lo": "ab", "hi": [1.0]}'], {}),
+    "config-d-overflow": (RUN, {"d": 1e400}),
+    "config-n-nan": (RUN, {"n": float("nan")}),
+    "config-density-kind-list": (RUN, {"density": {"kind": [], "lo": [0.0], "hi": [1.0]}}),
+    "config-r-zero": (RUN, {"r": 0}),
+    "config-r-negative": (RUN, {"r": -0.5}),
+    "regime-n-zero": (["regime", "--n", "0", "--d", "1", "--a", "1.1", "--k", "1"], {}),
+    "regime-n-negative": (["regime", "--n", "-5", "--d", "1", "--r", "0.1", "--k", "1"], {}),
+    "regime-d-zero": (["regime", "--n", "100", "--d", "0", "--a", "1.1", "--k", "1"], {}),
+    "constants-d-zero": (["constants", "--kind", "mu", "--k", "1", "--d", "0",
+                          "--samples", "100", "--out", "out.json"], {}),
+    "sample-d-zero": (["sample", "--n", "5", "--d", "0", "--out", "out.csv"], {}),
+    "report-non-integer-cell": (["experiment", "report", "--config", "exp.json",
+                                 "--in", "bad.csv", "--out", "out.json"], {}),
+    "report-short-row": (["experiment", "report", "--config", "exp.json",
+                          "--in", "short.csv", "--out", "out.json"], {}),
+    "missing-density-file": (["sample", "--n", "5", "--density", "missing.json",
+                              "--out", "out.csv"], {}),
+    "out-in-missing-directory": (["sample", "--n", "5", "--out", "missing/out.csv"], {}),
+}
+
+
+@pytest.mark.parametrize("argv,overrides", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_exits_one_with_one_error_line(tmp_path, monkeypatch, caplog,
+                                                       argv, overrides):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path / "exp.json", **overrides)
+    for name, text in BAD_CSVS.items():
+        (tmp_path / name).write_text(text)
+    before = set(tmp_path.iterdir())
+    assert main(argv) == 1
+    assert [r.levelno for r in caplog.records if r.levelno >= logging.WARNING] == [logging.ERROR]
+    assert set(tmp_path.iterdir()) == before
+
+
+def test_json_flags_take_an_inline_object_or_a_path(tmp_path):
+    files = {
+        "--config": write_config(tmp_path / "exp.json", replications=4),
+        "--density": tmp_path / "density.json",
+        "--region": tmp_path / "region.json",
+    }
+    files["--density"].write_text(
+        '{"kind": "gaussian-isotropic", "mean": [0.5, 0.5], "sigma": 0.2}')
+    files["--region"].write_text('{"kind": "box", "lo": [0.0, 0.0], "hi": [0.5, 0.5]}')
+    commands = {
+        "--config": ["experiment", "run"],
+        "--density": ["sample", "--n", "20", "--d", "2"],
+        "--region": ["constants", "--kind", "mu", "--k", "1", "--d", "2", "--samples", "1e3"],
+    }
+    for flag, command in commands.items():
+        artifacts = []
+        for form, value in (("path", str(files[flag])), ("inline", files[flag].read_text())):
+            out = tmp_path / f"{flag[2:]}-{form}.out"
+            assert main([*command, flag, value, "--out", str(out)]) == 0
+            artifacts.append(out.read_bytes())
+        assert artifacts[0] == artifacts[1], flag
 
 
 def test_console_entry_point_runs():

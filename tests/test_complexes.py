@@ -165,6 +165,16 @@ def test_min_ball_radii_match_welzl(block, scale):
             assert (radius <= half_r) == (oracle <= half_r)
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_min_ball_radii_do_not_depend_on_batch_size(d, m):
+    # the Čech filter calls the kernel on however many candidate rows a dimension has
+    block = np.random.default_rng(100 * d + m).random((200, m, d))
+    batched = _min_ball_radii(block)
+    one_by_one = np.concatenate([_min_ball_radii(block[i:i + 1]) for i in range(len(block))])
+    np.testing.assert_array_equal(one_by_one, batched)
+
+
 def test_cech_equilateral_scale():
     # circumradius 0.577 > 0.5 excludes the 2-face at r=1, admits it at r=1.2
     assert build_rips(build_graph(EQUILATERAL, 1.0), 2).face_vector() == (3, 3, 1)
