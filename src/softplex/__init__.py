@@ -12,7 +12,6 @@ from .densities import (
     GaussianIsotropic,
     PiecewiseConstantGrid,
     UniformBox,
-    density_eval,
     density_from_config,
 )
 from .errors import (
@@ -28,7 +27,6 @@ from .geometry import (
     GeometricGraph,
     RegionSpec,
     build_graph,
-    in_region,
     leftmost_point,
     region_from_config,
     threshold_pairs,

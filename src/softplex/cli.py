@@ -28,7 +28,7 @@ from scipy.special import ndtri
 from .complexes import build_complex
 from .constants import _estimate, regime_check
 from .densities import UniformBox, GaussianIsotropic, density_from_config
-from .errors import ConfigurationError, MemoryGuardError, SoftplexError
+from .errors import ConfigurationError, MemoryGuardError, SoftplexError, count
 from .geometry import ALL_SPACE, build_graph, region_from_config
 from .experiments import (ReplicationResult, clt_report, config_from_dict, run_experiment,
                           statistic_samples)
@@ -54,11 +54,7 @@ def _fmt(value) -> str:
 
 
 def _parse_count(text: str) -> int:
-    # accept scientific notation for counts (1e6); inf and nan are not integers
-    value = float(text)
-    if not value.is_integer():
-        raise argparse.ArgumentTypeError(f"expected a finite integer-valued number, got {text!r}")
-    return int(value)
+    return count(float(text), "the value", None, argparse.ArgumentTypeError)
 
 
 def _positive(kind):

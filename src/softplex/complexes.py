@@ -54,7 +54,7 @@ from itertools import combinations
 import numpy as np
 
 from ._grouping import _find, group_boundaries, pairs_within_groups
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, count
 from .geometry import GeometricGraph, RegionSpec, ALL_SPACE, build_graph, region_mask
 from .point_process import PointCloud
 from .rng import FACE_COIN_STREAM, derive_seed, uniform_coins
@@ -93,10 +93,13 @@ class SimplicialComplex:
 
 def _retention(rho, top: int) -> tuple:
     """The retention vector as floats, checked against the top dimension it thins."""
-    rho = tuple(float(p) for p in np.asarray(rho, dtype=np.float64).ravel())
+    try:
+        rho = tuple(float(p) for p in np.asarray(rho, dtype=np.float64).ravel())
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"retention vector must be numbers, got {rho!r}") from None
     if len(rho) < top:
         raise ConfigurationError(
-            f"retention vector of length {len(rho)} cannot thin faces up to dimension {top}"
+            f"retention vector of length {len(rho)} is too short for faces up to dimension {top}"
         )
     if any(not 0.0 <= p <= 1.0 for p in rho):
         raise ConfigurationError("retention probabilities must lie in [0, 1]")
@@ -183,8 +186,7 @@ def build_complex(graph: GeometricGraph, k_max: int, flavor: str = "rips", rho=N
     """
     if flavor not in ("rips", "cech"):
         raise ConfigurationError(f"flavor must be 'rips' or 'cech', got {flavor!r}")
-    if k_max < 0:
-        raise InputError(f"k_max must be nonnegative, got {k_max}")
+    k_max = count(k_max, "k_max")
     if rho is not None:
         rho = _retention(rho, k_max)
     n = graph.vertex_count

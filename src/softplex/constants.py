@@ -48,16 +48,15 @@ variance and covariance ratios, are kept next to the asymptotic ones.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from .complexes import _min_ball_radii
+from .complexes import _min_ball_radii, _retention
 from .densities import Density
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, count
 from .geometry import ALL_SPACE, RegionSpec, region_mask
 from .rng import MC_INNER_STREAM, MC_OUTER_STREAM, box_muller, box_muller_radii, generator
 
@@ -100,8 +99,7 @@ def _binom(a: int, b: int) -> int:
 
 def retention_exponent(k: int, l: int, j: int, i: int) -> int:
     """Exponent of p_i in the joint survival of a k-face and an l-face sharing j vertices."""
-    if min(k, l, j, i) < 0:
-        raise InputError("retention_exponent arguments must be nonnegative")
+    k, l, j, i = (count(v, f"retention_exponent {name}") for v, name in zip((k, l, j, i), "klji"))
     if j > min(k, l) + 1:
         raise InputError(f"shared count j={j} exceeds min(k,l)+1={min(k, l) + 1}")
     if not 1 <= i <= max(k, l):
@@ -261,17 +259,6 @@ _KINDS = {"mu": ("rips", False), "nu": ("cech", False),
 _FLAVOR_KINDS = {"rips": ("mu", "phi"), "cech": ("nu", "theta")}
 
 
-def _sample_count(samples) -> int:
-    """samples as an int: integer-valued numbers pass (1e6 is 1000000), anything else fails."""
-    integral = isinstance(samples, numbers.Integral) or (
-        isinstance(samples, numbers.Real) and float(samples).is_integer())
-    if isinstance(samples, bool) or not integral:
-        raise InputError(f"samples must be an integer-valued number, got {samples!r}")
-    if samples < 1:
-        raise InputError(f"samples must be >= 1, got {samples}")
-    return int(samples)
-
-
 def _estimate(kind: str, k: int, l: int | None, j: int | None, d: int, density: Density,
               region: RegionSpec, samples, seed: int, threads: int | None) -> ConstantEstimate:
     """Any constant kind; a face constant (no l or j) is the pair (k, k, k + 1).
@@ -288,12 +275,12 @@ def _estimate(kind: str, k: int, l: int | None, j: int | None, d: int, density: 
         raise ConfigurationError(f"kind {kind!r} requires l and j")
     if not pair and (l is not None or j is not None):
         raise ConfigurationError(f"kind {kind!r} takes no l or j")
-    l, j = (l, j) if pair else (k, k + 1)
-    if k < 0 or l < 0:
-        raise InputError("face dimensions must be nonnegative")
+    k = count(k, "face dimension k")
+    l, j = (count(l, "face dimension l"), count(j, "overlap j")) if pair else (k, k + 1)
     if not 1 <= j <= min(k, l) + 1:
         raise InputError(f"overlap j={j} outside 1..min(k,l)+1={min(k, l) + 1}")
-    samples = _sample_count(samples)
+    samples = count(samples, "samples", 1)
+    d = count(d, "d", 1)
     if density.dimension != d:
         raise InputError(f"density dimension {density.dimension} != d={d}")
     m = k + l + 1 - j
@@ -337,30 +324,24 @@ def estimate_theta(k, l, j, d, density, region=ALL_SPACE, samples=1_000_000, see
 
 
 def _log_or_zero(value: float) -> float:
-    if value < 0:
-        raise InputError("probabilities and scales must be nonnegative")
+    if not value >= 0:  # NaN fails too
+        raise InputError(f"probabilities and scales must be nonnegative, got {value!r}")
     return math.log(value) if value > 0 else -math.inf
 
 
-def _log_rho_product(rho, exponents) -> float:
-    total = 0.0
-    for p, e in zip(rho, exponents):
-        if e == 0:
-            continue
-        total += e * _log_or_zero(p)
-    return total
+def _log_product(bases, exponents) -> float:
+    """log of prod b^e; a zero exponent adds nothing, so 0^0 is 1 and r = 0 leaves f_0 at n."""
+    return sum(e * _log_or_zero(b) for b, e in zip(bases, exponents) if e)
 
 
 def _log_scale(n: float, r: float, d: int, rho, k: int, l: int, j: int) -> float:
     """log of prod p_i^e_i * n^{k+l+2-j} * r^{d(k+l+1-j)}, e_i = retention_exponent(k, l, j, i)."""
-    rho = list(rho)
-    if len(rho) < max(k, l):
-        raise ConfigurationError(f"rho of length {len(rho)} too short for k={k}, l={l}")
+    rho = _retention(rho, max(k, l))
     exponents = [retention_exponent(k, l, j, i) for i in range(1, max(k, l) + 1)]
     return (
-        _log_rho_product(rho, exponents)
+        _log_product(rho, exponents)
         + (k + l + 2 - j) * math.log(n)
-        + d * (k + l + 1 - j) * _log_or_zero(r)
+        + _log_product((r,), (d * (k + l + 1 - j),))
     )
 
 
@@ -393,18 +374,14 @@ def predicted_moments(n: float, r: float, d: int, rho, k: int, l: int | None = N
                       constants=(), flavor: str = "rips") -> MomentPrediction:
     """Asymptotic mean/variance of f_k, and covariance with f_l when requested.
 
-    The k = 0 case uses the Poisson-process values: mean and variance both
-    equal the region mass times n.
+    For k = 0 the scale is n, so mean and variance both equal the region
+    mass times n, the Poisson-process values.
     """
     if flavor not in _FLAVOR_KINDS:
         raise ConfigurationError(f"flavor must be 'rips' or 'cech', got {flavor!r}")
     face_kind, pair_kind = _FLAVOR_KINDS[flavor]
-    if k == 0:
-        mass = _find_constant(constants, face_kind, 0).value
-        mean = variance = mass * n
-    else:
-        face = _find_constant(constants, face_kind, k).value
-        mean = variance = face * math.exp(log_growth_quantity(n, r, d, rho, k))
+    face = _find_constant(constants, face_kind, k).value
+    mean = variance = face * math.exp(log_growth_quantity(n, r, d, rho, k))
     covariance = None
     if l is not None:
         covariance = 0.0
@@ -485,9 +462,13 @@ def regime_check(n: float, r: float, d: int, rho, mode: tuple[str, int],
     disappear.
     """
     kind, level = mode
-    if kind not in ("fk", "chi") or level < 0:
-        raise InputError(f"mode must be ('fk', k>=0) or ('chi', l>=0), got {mode}")
-    rho = tuple(float(p) for p in rho)
+    if kind not in ("fk", "chi"):
+        raise InputError(f"mode must be ('fk', k) or ('chi', l), got {mode}")
+    level = count(level, f"{kind} mode level")
+    d = count(d, "d", 1)
+    if not 0 < n < math.inf:
+        raise InputError(f"n must be a finite positive number, got {n!r}")
+    rho = _retention(rho, level + 1 if kind == "chi" else level)
     nrd = math.exp(math.log(n) + d * _log_or_zero(r))
     quantities = {"nr^d": nrd}
     flags = {"sparse_ok": nrd < sparse_threshold}
@@ -500,6 +481,5 @@ def regime_check(n: float, r: float, d: int, rho, mode: tuple[str, int],
         quantities[f"vanish_l{level + 1}"] = vanish
         flags["vanish_ok"] = vanish < vanish_threshold
         thresholds["vanish"] = vanish_threshold
-    return RegimeReport(n=float(n), r=float(r), d=int(d), rho=rho, mode=kind,
-                        k_or_l=int(level), quantities=quantities, flags=flags,
-                        thresholds=thresholds)
+    return RegimeReport(n=float(n), r=float(r), d=d, rho=rho, mode=kind, k_or_l=level,
+                        quantities=quantities, flags=flags, thresholds=thresholds)

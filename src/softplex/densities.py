@@ -215,8 +215,3 @@ def density_from_config(config: dict) -> Density:
         return PiecewiseConstantGrid(fields["lo"], fields["hi"], fields["weights"])
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"density config has a malformed field: {exc}") from None
-
-
-def density_eval(density: Density, x):
-    """Pointwise value of the density at x (vector or array of vectors)."""
-    return density.pdf(x)

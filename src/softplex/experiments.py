@@ -16,15 +16,15 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 from scipy.special import ndtr
 
 from .complexes import _retention, build_complex, euler_characteristic, face_counts
-from .constants import log_growth_quantity, unit_ball_volume
+from .constants import unit_ball_volume
 from .densities import Density, UniformBox, density_from_config
-from .errors import ConfigurationError, DegenerateSampleError, InputError, MemoryGuardError
+from .errors import ConfigurationError, DegenerateSampleError, InputError, MemoryGuardError, count
 from .geometry import ALL_SPACE, RegionSpec, build_graph, region_from_config
 from .point_process import sample_binomial, sample_poisson
 from .rng import REPLICATION_STREAM, derive_seed
@@ -56,20 +56,25 @@ class ExperimentConfig:
             raise ConfigurationError(f"model must be 'rips' or 'cech', got {self.model!r}")
         if self.process not in ("binomial", "poisson"):
             raise ConfigurationError(f"process must be 'binomial' or 'poisson', got {self.process!r}")
-        if not (self.n >= 1 and self.d >= 1 and self.k_max >= 0):  # NaN fails too
-            raise ConfigurationError("require n >= 1, d >= 1, k_max >= 0")
-        if self.replications < 2:
-            raise ConfigurationError("require at least 2 replications")
+        for name, least in (("d", 1), ("k_max", 0), ("replications", 2), ("master_seed", None)):
+            value = count(getattr(self, name), name, least, ConfigurationError)
+            object.__setattr__(self, name, value)
+        if self.process == "binomial":
+            count(self.n, "binomial n", 1, ConfigurationError)
+        elif not self.n >= 1:  # NaN fails too
+            raise ConfigurationError(f"poisson n must be >= 1, got {self.n!r}")
         if (self.r is None) == (self.r_exponent is None):
             raise ConfigurationError("exactly one of r / r_exponent must be given")
         if self.r is not None and not self.r > 0:
             raise ConfigurationError(f"r must be positive, got {self.r}")
         if self.rho is not None and self.rho_exponents is not None:
             raise ConfigurationError("give at most one of rho / rho_exponents")
-        if self.statistic[0] == "fk":
-            if len(self.statistic) != 2 or not 0 <= self.statistic[1] <= self.k_max:
-                raise ConfigurationError("statistic ('fk', k) requires 0 <= k <= k_max")
-        elif self.statistic[0] != "chi" or len(self.statistic) != 1:
+        if self.statistic[0] == "fk" and len(self.statistic) == 2:
+            k = count(self.statistic[1], "statistic k", 0, ConfigurationError)
+            if k > self.k_max:
+                raise ConfigurationError(f"statistic ('fk', k) requires k <= k_max, got k={k}")
+            object.__setattr__(self, "statistic", ("fk", k))
+        elif tuple(self.statistic) != ("chi",):
             raise ConfigurationError("statistic must be ('fk', k) or ('chi',)")
         density = self.density
         if density is None:
@@ -120,12 +125,9 @@ class ExperimentConfig:
         return out
 
 
-_CONFIG_KEYS = {
-    "model", "process", "n", "d", "k_max", "replications", "master_seed",
-    "statistic", "density", "region", "r", "r_exponent", "rho",
-    "rho_exponents", "max_predicted_faces",
-}
-_REQUIRED_KEYS = {"model", "process", "n", "d", "k_max", "replications", "master_seed", "statistic"}
+_CONFIG_KEYS = {f.name for f in fields(ExperimentConfig) if f.init}
+_REQUIRED_KEYS = {f.name for f in fields(ExperimentConfig)
+                  if f.init and f.default is MISSING and f.default_factory is MISSING}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -147,7 +149,7 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if stat_raw["kind"] == "fk":
             if set(stat_raw) != {"kind", "k"}:
                 raise ConfigurationError("statistic 'fk' takes exactly the field 'k'")
-            statistic = ("fk", int(stat_raw["k"]))
+            statistic = ("fk", stat_raw["k"])
         elif stat_raw["kind"] == "chi":
             if set(stat_raw) != {"kind"}:
                 raise ConfigurationError("statistic 'chi' takes no extra fields")
@@ -158,10 +160,10 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             model=raw["model"],
             process=raw["process"],
             n=float(raw["n"]),
-            d=int(raw["d"]),
-            k_max=int(raw["k_max"]),
-            replications=int(raw["replications"]),
-            master_seed=int(raw["master_seed"]),
+            d=raw["d"],
+            k_max=raw["k_max"],
+            replications=raw["replications"],
+            master_seed=raw["master_seed"],
             statistic=statistic,
             density=density,
             r=float(raw["r"]) if "r" in raw else None,

@@ -197,8 +197,3 @@ def region_mask(points: np.ndarray, region: RegionSpec) -> np.ndarray:
     if region.kind == "box":
         return np.all((points > lo) & (points < hi), axis=1)
     return np.any((points < lo) | (points > hi), axis=1)
-
-
-def in_region(point, region: RegionSpec) -> bool:
-    """Open-box membership test for one point."""
-    return bool(region_mask(np.asarray(point, dtype=np.float64)[None, :], region)[0])

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import Density
-from .errors import InputError
+from .errors import InputError, count
 from .rng import COUNT_STREAM, POINT_STREAM, generator
 
 
@@ -44,9 +44,7 @@ class PointCloud:
 
 def sample_binomial(n: int, density: Density, seed: int) -> PointCloud:
     """Exactly n i.i.d. draws from the density."""
-    n = int(n)
-    if n < 1:
-        raise InputError(f"binomial sample size must be >= 1, got {n}")
+    n = count(n, "binomial sample size", 1)
     pts = density.sample(generator(seed, POINT_STREAM), n)
     return PointCloud(points=pts, provenance="binomial", size_parameter=float(n), seed=int(seed))
 

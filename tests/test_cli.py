@@ -263,6 +263,14 @@ MALFORMED = {
     "config-density-kind-list": (RUN, {"density": {"kind": [], "lo": [0.0], "hi": [1.0]}}),
     "config-r-zero": (RUN, {"r": 0}),
     "config-r-negative": (RUN, {"r": -0.5}),
+    "config-d-fraction": (RUN, {"d": 1.5}),
+    "config-k_max-fraction": (RUN, {"k_max": 2.5}),
+    "config-replications-fraction": (RUN, {"replications": 10.5}),
+    "config-master_seed-fraction": (RUN, {"master_seed": 5.5}),
+    "config-statistic-k-fraction": (RUN, {"statistic": {"kind": "fk", "k": 1.2}}),
+    "config-binomial-n-fraction": (RUN, {"n": 100.5}),
+    "regime-rho-above-one": (["regime", "--n", "100", "--d", "1", "--r", "0.1", "--k", "1",
+                              "--rho", "2,2"], {}),
     "regime-n-zero": (["regime", "--n", "0", "--d", "1", "--a", "1.1", "--k", "1"], {}),
     "regime-n-negative": (["regime", "--n", "-5", "--d", "1", "--r", "0.1", "--k", "1"], {}),
     "regime-d-zero": (["regime", "--n", "100", "--d", "0", "--a", "1.1", "--k", "1"], {}),

@@ -6,6 +6,7 @@ import pytest
 from softplex import (
     ALL_SPACE,
     ConfigurationError,
+    ConstantEstimate,
     InputError,
     RegionSpec,
     UniformBox,
@@ -254,6 +255,16 @@ def test_predicted_moments_examples():
     assert zero.mean == 0.0 and zero.variance == 0.0
     vertex = predicted_moments(n, r, d, (1.0,), k=0, constants=[mu0])
     assert vertex.variance == pytest.approx(n)  # Poisson vertex count
+
+
+def test_zero_radius_keeps_the_vertex_scale():
+    # r^0 is 1 at r = 0: the vertex scale stays n, and every higher face scale is 0
+    mu0 = ConstantEstimate(value=1.0, stderr=0.0, samples=1, kind="mu", k=0)
+    vertex = predicted_moments(100.0, 0.0, 1, (), k=0, constants=[mu0])
+    assert vertex.mean == pytest.approx(100.0) and vertex.variance == pytest.approx(100.0)
+    report = regime_check(100.0, 0.0, 1, (1.0,), ("chi", 0))
+    assert report.quantities["growth_l0"] == pytest.approx(100.0)
+    assert report.quantities["vanish_l1"] == 0.0
 
 
 def test_predicted_moments_covariance_term():

@@ -9,7 +9,6 @@ from softplex import (
     InputError,
     PiecewiseConstantGrid,
     UniformBox,
-    density_eval,
     density_from_config,
 )
 from softplex.rng import generator
@@ -17,22 +16,22 @@ from softplex.rng import generator
 
 def test_uniform_box_pdf_values():
     dens = UniformBox(lo=[0.0, 0.0], hi=[1.0, 1.0])
-    assert density_eval(dens, [0.5, 0.5]) == 1.0
-    assert density_eval(dens, [2.0, 2.0]) == 0.0
+    assert dens.pdf([0.5, 0.5]) == 1.0
+    assert dens.pdf([2.0, 2.0]) == 0.0
     assert dens.sup_norm == 1.0
 
 
 def test_gaussian_pdf_at_mode():
     dens = GaussianIsotropic(mean=[0.0], sigma=1.0)
     # closed form: (2 pi)^{-1/2}
-    assert density_eval(dens, [0.0]) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
+    assert dens.pdf([0.0]) == pytest.approx(1.0 / math.sqrt(2.0 * math.pi), abs=1e-12)
     assert dens.sup_norm == pytest.approx(0.3989422804014327, abs=1e-12)
 
 
 def test_pdf_dimension_mismatch_is_input_error():
     dens = UniformBox(lo=[0.0, 0.0], hi=[1.0, 1.0])
     with pytest.raises(InputError):
-        density_eval(dens, [0.5])
+        dens.pdf([0.5])
 
 
 def test_densities_integrate_to_one_by_quadrature():
@@ -45,13 +44,13 @@ def test_densities_integrate_to_one_by_quadrature():
         GaussianIsotropic(mean=[0.3], sigma=0.8),
         PiecewiseConstantGrid(lo=[-1.0], hi=[1.0], weights=[1.0, 3.0, 0.0, 2.0]),
     ):
-        total = density_eval(dens, mid[:, None]).sum() * step
+        total = dens.pdf(mid[:, None]).sum() * step
         assert total == pytest.approx(1.0, abs=2e-3)
 
 
 def test_piecewise_grid_pdf_outside_box_is_zero():
     dens = PiecewiseConstantGrid(lo=[0.0, 0.0], hi=[2.0, 2.0], weights=[[1.0, 2.0], [3.0, 4.0]])
-    assert density_eval(dens, [3.0, 1.0]) == 0.0
+    assert dens.pdf([3.0, 1.0]) == 0.0
     assert dens.sup_norm == pytest.approx(dens.density.max())
 
 
@@ -81,7 +80,7 @@ def test_config_round_trip():
         x = np.linspace(-1.0, 3.0, 50)[:, None]
         if dens.dimension == 2:
             x = np.hstack([x, x])
-        np.testing.assert_allclose(density_eval(clone, x), density_eval(dens, x))
+        np.testing.assert_allclose(clone.pdf(x), dens.pdf(x))
 
 
 def test_bad_configs_rejected():

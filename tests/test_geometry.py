@@ -10,12 +10,12 @@ from softplex import (
     PointCloud,
     RegionSpec,
     build_graph,
-    in_region,
     leftmost_point,
     region_from_config,
     threshold_pairs,
     threshold_pairs_bruteforce,
 )
+from softplex.geometry import region_mask
 
 
 def cloud_from(points):
@@ -76,7 +76,7 @@ def threshold_instances(draw):
 
 @settings(max_examples=500)
 @given(case=threshold_instances())
-def test_grid_matches_bruteforce_on_random_instances(case):
+def test_threshold_pairs_match_bruteforce_on_random_instances(case):
     pts, r = case
     n = pts.shape[0]
     edges = threshold_pairs(pts, r)
@@ -172,13 +172,13 @@ def test_leftmost_point_of_empty_set_is_error():
 
 def test_in_region_examples():
     box = RegionSpec(kind="box", lo=(0.0, 0.0), hi=(1.0, 1.0))
-    assert in_region([0.5, 0.5], box)
-    assert not in_region([0.0, 0.5], box)  # boundary excluded, the box is open
+    # the second point is on the boundary, excluded because the box is open
+    assert region_mask(np.array([[0.5, 0.5], [0.0, 0.5]]), box).tolist() == [True, False]
     comp = RegionSpec(kind="box-complement", lo=(-1.0, -1.0), hi=(1.0, 1.0))
-    assert in_region([5.0, 5.0], comp)
-    assert not in_region([0.0, 0.0], comp)
-    assert not in_region([1.0, 0.0], comp)  # closed box removed from the complement
-    assert in_region([123.0, -5.0], RegionSpec(kind="all"))
+    # the third point is on the closed box removed from the complement
+    points = np.array([[5.0, 5.0], [0.0, 0.0], [1.0, 0.0]])
+    assert region_mask(points, comp).tolist() == [True, False, False]
+    assert region_mask(np.array([[123.0, -5.0]]), RegionSpec(kind="all")).tolist() == [True]
 
 
 def test_region_config_round_trip_and_validation():
