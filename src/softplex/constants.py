@@ -11,29 +11,22 @@ where the indicator requires both vertex tuples (each containing the origin)
 to span a complete graph at threshold 1 (clique flavor) or to fit in a ball
 of radius 1/2 (ball flavor).  A k-face is exactly the full-overlap pair
 (k, k, j = k + 1), so the face constants mu_k / nu_k and the pair constants
-phi / theta come from one estimator.  Both factors are estimated
-independently (outer: draws from the density; inner: uniform draws from the
-unit ball, whose support contains the indicator), and the standard errors
-combine by the delta method.
+phi / theta come from one estimator.  This is the product form of Penrose
+(2003, Random Geometric Graphs, ch. 3).  The density factor has a closed
+form for every supported density and region (`Density.power_integral`), so
+only the indicator integral is sampled, by uniform draws from the unit ball,
+whose support contains the indicator; the standard error is that of the
+indicator integral, scaled by the exact factors.
 
-The samples fall into fixed shards, each drawn from its own derived stream,
-and one thread pool runs the shards of both factors.  An inner shard draws
-all its uniforms first, in the stream's fixed order (the Box-Muller pairs,
-then the radii), and then works through even blocks of at most _BLOCK
-tuples.  A block's points become origin-prefixed (m + 1, d, rows)
-coordinate planes, each plane a contiguous row of a cache-sized array, and
-the scaling into the unit ball, the clique distances and the enclosing-ball
-kernel all run on those planes.  On whole-shard (size, m, d) rows each
-pass would be an inner loop of d elements over arrays of millions of
-doubles, bound by memory.  Blocks change how the work is cut, not a value:
-every step is elementwise or per tuple, so the estimates do not depend on
-the block length.  That is why the length is a fixed constant and not a
-parameter: it would select nothing but speed, and its best value is set by
-the cache.  Squared lengths are the sums np.einsum("ij,ij->i") takes over
-contiguous rows, as in the row-wise code.  einsum adds three or more
-coordinates in its own SIMD-lane order, which a plane-by-plane sum does not
-follow, so from d = 3 on the planes go back to rows for einsum; in d <= 2
-every order gives the same sum and the planes are added directly.
+The indicator samples fall into fixed shards, each drawn from its own
+derived stream, and one thread pool runs the shards.  A shard's tuples are
+tested in cache-sized blocks of origin-prefixed (m + 1, d, rows) coordinate
+planes (`_inner_worker`); on whole-shard (size, m, d) rows each pass would
+be an inner loop of d elements over arrays of millions of doubles, bound by
+memory.  Blocks change how the work is cut, not a value: every step is
+elementwise or per tuple, so the block length is a constant set by the
+cache, not a parameter.  Squared lengths are summed in np.einsum's order
+(`_sum_of_squares`), as in the row-wise code.
 
 The closed-form side evaluates predicted means, variances, and covariances
 in log space from (n, r, rho) plus estimated constants, through one scale
@@ -57,11 +50,11 @@ import numpy as np
 from .complexes import _min_ball_radii, _retention
 from .densities import Density
 from .errors import ConfigurationError, InputError, count
-from .geometry import ALL_SPACE, RegionSpec, region_mask
-from .rng import MC_INNER_STREAM, MC_OUTER_STREAM, box_muller, box_muller_radii, generator
+from .geometry import ALL_SPACE, RegionSpec
+from .rng import MC_INNER_STREAM, box_muller, box_muller_radii, generator
 
-# samples per shard of the outer factor (the inner one takes _SHARD // m
-# tuples of m points); shards are fixed, so results never depend on threads
+# points per shard (a shard holds _SHARD // m tuples of m points); shards are
+# fixed, so results never depend on threads
 _SHARD = 1 << 20
 # tuples per block of the inner kernel: the planes of a block of 2-4 point
 # tuples in d = 2 take 0.2-0.6 MB and stay in a core's cache
@@ -111,56 +104,22 @@ def unit_ball_volume(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
-def _mean_and_se(total: float, total_sq: float, count: int) -> tuple[float, float]:
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0)
-    return mean, math.sqrt(var / count)
-
-
 def _shard_sizes(samples: int, shard: int) -> list[int]:
     full, rest = divmod(samples, shard)
     return [shard] * full + ([rest] if rest else [])
 
 
-def _sharded_sums(jobs, samples: int, threads: int | None) -> list[tuple[float, float]]:
-    """(sum, sum_sq) of each job (worker, shard) over fixed sample shards.
+def _sharded_sums(worker, shard: int, samples: int, threads: int | None) -> float:
+    """The sum of worker(shard_index, size) over fixed shards of samples.
 
-    worker(shard_index, size) returns one shard's (sum, sum_sq).  Each shard
-    draws from its own derived stream and a job's merge is a plain sum in
-    shard order, so the sums are identical for any worker count.  One pool
-    runs the shards of every job, so the jobs overlap.
+    Each shard draws from its own derived stream and the merge is a plain
+    sum in shard order, so the sum is identical for any worker count.
     """
-    tasks = [(job, index, size) for job, (_, shard) in enumerate(jobs)
-             for index, size in enumerate(_shard_sizes(samples, shard))]
-
-    def run(task):
-        job, index, size = task
-        return jobs[job][0](index, size)
-
+    tasks = list(enumerate(_shard_sizes(samples, shard)))
     if threads is None or threads <= 1 or len(tasks) == 1:
-        parts = [run(task) for task in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(run, tasks))
-    sums = [(0.0, 0.0)] * len(jobs)
-    for (job, _, _), (total, total_sq) in zip(tasks, parts):
-        sums[job] = (sums[job][0] + total, sums[job][1] + total_sq)
-    return sums
-
-
-def _outer_worker(power: int, density: Density, region: RegionSpec, seed: int):
-    """Shard worker of integral_A f(x)^{power+1} dx, sampling x ~ f."""
-
-    def worker(index: int, size: int):
-        x = density.sample(generator(seed, MC_OUTER_STREAM, index), size)
-        vals = density.pdf(x) if power else np.ones(size)
-        if power > 1:
-            vals **= power
-        if region.kind != "all":
-            vals *= region_mask(x, region)
-        return float(vals.sum()), float((vals * vals).sum())
-
-    return worker
+        return sum(worker(*task) for task in tasks)
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return sum(pool.map(lambda task: worker(*task), tasks))
 
 
 def _sum_of_squares(planes: np.ndarray) -> np.ndarray:
@@ -239,17 +198,9 @@ def _inner_worker(m: int, d: int, member_lists, flavor: str, seed: int):
                 scale = (radii[lo * m:hi * m] ** (1.0 / d)).reshape(rows, m).T / norms
                 points *= scale[:, None, :]
             ok[lo:hi] = _admissible(planes, member_lists, flavor)
-        hits = float(ok.sum())
-        return hits, hits  # indicator: squares equal values
+        return float(ok.sum())
 
     return worker
-
-
-def _product_estimate(coeff: float, outer: tuple[float, float],
-                      inner: tuple[float, float]) -> tuple[float, float]:
-    value = coeff * outer[0] * inner[0]
-    stderr = coeff * math.sqrt((outer[0] * inner[1]) ** 2 + (inner[0] * outer[1]) ** 2)
-    return value, stderr
 
 
 # constant kind -> (complex flavor, whether it couples two faces)
@@ -263,8 +214,9 @@ def _estimate(kind: str, k: int, l: int | None, j: int | None, d: int, density: 
               region: RegionSpec, samples, seed: int, threads: int | None) -> ConstantEstimate:
     """Any constant kind; a face constant (no l or j) is the pair (k, k, k + 1).
 
-    The outer factor integral_A f^{m+1} samples x ~ f.  The inner factor is
-    the indicator integral over (R^d)^m, m = k + l + 1 - j: the indicator
+    The density factor integral_A f^{m+1} is the density's closed form: the
+    box for region "box", all space minus the box for "box-complement".  The
+    indicator factor is the integral over (R^d)^m, m = k + l + 1 - j: it
     vanishes unless every point lies in the unit ball around the origin
     (every tuple holds the origin and is admissible at scale 1), so uniform
     draws from B(0, 1)^m with the matching volume factor are exact.  Each
@@ -284,21 +236,22 @@ def _estimate(kind: str, k: int, l: int | None, j: int | None, d: int, density: 
     if density.dimension != d:
         raise InputError(f"density dimension {density.dimension} != d={d}")
     m = k + l + 1 - j
-    jobs = [(_outer_worker(m, density, region, seed), _SHARD)]
+    outer = density.power_integral(m)
+    if region.kind != "all":
+        inside = density.power_integral(m, region.lo, region.hi)
+        outer = inside if region.kind == "box" else outer - inside
+    inner = (1.0, 0.0)
     if m:
         first = tuple(range(k + 1))
         second = tuple(range(j)) + tuple(range(k + 1, k + l + 2 - j))
         distinct = list(dict.fromkeys((first, second)))
-        jobs.append((_inner_worker(m, d, distinct, flavor, seed), max(1, _SHARD // m)))
-    sums = _sharded_sums(jobs, samples, threads)
-    outer = _mean_and_se(*sums[0], samples)
-    inner = (1.0, 0.0)
-    if m:
+        worker = _inner_worker(m, d, distinct, flavor, seed)
+        mean = _sharded_sums(worker, max(1, _SHARD // m), samples, threads) / samples
         volume = unit_ball_volume(d) ** m
-        mean, se = _mean_and_se(*sums[1], samples)
-        inner = (mean * volume, se * volume)
+        # an indicator's variance is mean - mean^2, and never below 0 for mean in [0, 1]
+        inner = (mean * volume, math.sqrt((mean - mean * mean) / samples) * volume)
     coeff = 1.0 / (math.factorial(j) * math.factorial(k + 1 - j) * math.factorial(l + 1 - j))
-    value, stderr = _product_estimate(coeff, outer, inner)
+    value, stderr = coeff * outer * inner[0], coeff * outer * inner[1]
     return ConstantEstimate(value=value, stderr=stderr, samples=samples, kind=kind, k=k,
                             l=l if pair else None, j=j if pair else None, region=region)
 
@@ -468,6 +421,8 @@ def regime_check(n: float, r: float, d: int, rho, mode: tuple[str, int],
     d = count(d, "d", 1)
     if not 0 < n < math.inf:
         raise InputError(f"n must be a finite positive number, got {n!r}")
+    if not 0 <= r < math.inf:
+        raise InputError(f"r must be a finite nonnegative number, got {r!r}")
     rho = _retention(rho, level + 1 if kind == "chi" else level)
     nrd = math.exp(math.log(n) + d * _log_or_zero(r))
     quantities = {"nr^d": nrd}

@@ -14,6 +14,7 @@ comparisons against the vertex count.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -130,6 +131,13 @@ _REQUIRED_KEYS = {f.name for f in fields(ExperimentConfig)
                   if f.init and f.default is MISSING and f.default_factory is MISSING}
 
 
+def _number(value):
+    """value itself if it is a JSON number: a string, a bool or null is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"a real-valued config field must be a number, got {value!r}")
+    return value
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Parse a JSON experiment description, rejecting unknown keys."""
     if not isinstance(raw, dict):
@@ -159,18 +167,19 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         return ExperimentConfig(
             model=raw["model"],
             process=raw["process"],
-            n=float(raw["n"]),
+            n=float(_number(raw["n"])),
             d=raw["d"],
             k_max=raw["k_max"],
             replications=raw["replications"],
             master_seed=raw["master_seed"],
             statistic=statistic,
             density=density,
-            r=float(raw["r"]) if "r" in raw else None,
-            r_exponent=float(raw["r_exponent"]) if "r_exponent" in raw else None,
-            rho=tuple(raw["rho"]) if "rho" in raw else None,
-            rho_exponents=tuple(raw["rho_exponents"]) if "rho_exponents" in raw else None,
-            max_predicted_faces=float(raw.get("max_predicted_faces", DEFAULT_FACE_CAP)),
+            r=float(_number(raw["r"])) if "r" in raw else None,
+            r_exponent=float(_number(raw["r_exponent"])) if "r_exponent" in raw else None,
+            rho=tuple(map(_number, raw["rho"])) if "rho" in raw else None,
+            rho_exponents=(tuple(map(_number, raw["rho_exponents"]))
+                           if "rho_exponents" in raw else None),
+            max_predicted_faces=float(_number(raw.get("max_predicted_faces", DEFAULT_FACE_CAP))),
         )
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"experiment config has a malformed field: {exc}") from None

@@ -9,6 +9,7 @@ Clouds are immutable after creation and reproduce bit-identically from
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,8 +57,8 @@ def sample_poisson(lam: float, density: Density, seed: int) -> PointCloud:
     from the same point stream a binomial cloud with this seed would use.
     """
     lam = float(lam)
-    if not lam > 0:
-        raise InputError(f"poisson intensity must be positive, got {lam}")
+    if not 0 < lam < math.inf:
+        raise InputError(f"poisson intensity must be finite and positive, got {lam}")
     n = int(generator(seed, COUNT_STREAM).poisson(lam))
     if n == 0:
         pts = np.empty((0, density.dimension))

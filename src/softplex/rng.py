@@ -20,13 +20,13 @@ _MULT2 = 0x94D049BB133111EB
 _INV_2_53 = 2.0 ** -53
 
 # stream tags, kept distinct so sub-streams of one seed never collide; tag 3
-# drew the retired graph-level edge coins and stays unused, so that reusing it
-# cannot alias an old stream
+# drew the retired graph-level edge coins and tag 6 the retired density-factor
+# samples of the constants, and both stay unused, so that reusing them cannot
+# alias an old stream
 POINT_STREAM = 1
 COUNT_STREAM = 2
 FACE_COIN_STREAM = 4
 REPLICATION_STREAM = 5
-MC_OUTER_STREAM = 6
 MC_INNER_STREAM = 7
 
 

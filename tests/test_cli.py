@@ -269,11 +269,16 @@ MALFORMED = {
     "config-master_seed-fraction": (RUN, {"master_seed": 5.5}),
     "config-statistic-k-fraction": (RUN, {"statistic": {"kind": "fk", "k": 1.2}}),
     "config-binomial-n-fraction": (RUN, {"n": 100.5}),
+    "config-n-numeric-string": (RUN, {"n": "300"}),
+    "config-poisson-n-bool": (RUN, {"process": "poisson", "n": True}),
+    "config-max_predicted_faces-string": (RUN, {"max_predicted_faces": "1e3"}),
+    "config-rho-entry-string": (RUN, {"rho": ["0.5", 1.0]}),
     "regime-rho-above-one": (["regime", "--n", "100", "--d", "1", "--r", "0.1", "--k", "1",
                               "--rho", "2,2"], {}),
     "regime-n-zero": (["regime", "--n", "0", "--d", "1", "--a", "1.1", "--k", "1"], {}),
     "regime-n-negative": (["regime", "--n", "-5", "--d", "1", "--r", "0.1", "--k", "1"], {}),
     "regime-d-zero": (["regime", "--n", "100", "--d", "0", "--a", "1.1", "--k", "1"], {}),
+    "regime-r-inf": (["regime", "--n", "100", "--d", "1", "--r", "inf", "--k", "1"], {}),
     "constants-d-zero": (["constants", "--kind", "mu", "--k", "1", "--d", "0",
                           "--samples", "100", "--out", "out.json"], {}),
     "sample-d-zero": (["sample", "--n", "5", "--d", "0", "--out", "out.csv"], {}),

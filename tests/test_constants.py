@@ -113,9 +113,27 @@ def test_gaussian_density_outer_weighting():
 
     sigma = 0.7
     dens = GaussianIsotropic(mean=[0.0], sigma=sigma)
+    # int f^2 is exact and, in d = 1, so is the indicator factor: every x of
+    # the unit ball is within 1 of the origin
     est = estimate_mu(1, 1, dens, samples=400_000, seed=11)
     expect = 1.0 / (2.0 * sigma * math.sqrt(math.pi))
-    assert abs(est.value - expect) <= 3.0 * est.stderr
+    assert est.stderr == 0.0
+    assert est.value == pytest.approx(expect, rel=1e-14, abs=0.0)
+
+
+def test_region_factors_add_up_to_the_whole_space_factor():
+    # mu_0 is the density factor alone: the mass of f over the region
+    density = UniformBox(lo=[0.0, 0.0], hi=[2.0, 1.0])
+    box = RegionSpec(kind="box", lo=[1.0, 0.5], hi=[3.0, 3.0])
+    rest = RegionSpec(kind="box-complement", lo=box.lo, hi=box.hi)
+    values = [estimate_mu(0, 2, density, region=region, samples=10, seed=1).value
+              for region in (box, rest, ALL_SPACE)]
+    assert values == [0.25, 0.75, 1.0]
+
+
+def test_region_of_another_dimension_is_an_input_error():
+    with pytest.raises(InputError, match="dimension"):
+        estimate_mu(1, 2, UNIT_2D, region=RegionSpec("box", [0.0], [1.0]), samples=10)
 
 
 def test_phi_single_shared_vertex_of_two_vertices():

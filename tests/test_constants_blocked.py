@@ -1,11 +1,16 @@
 """The blocked constant estimator against a frozen copy of the row-wise one.
 
-`row_wise_estimate` below is the estimator as it stood before the inner
+`row_wise_estimate` below is the indicator factor as it stood before the
 kernel moved to cache-sized blocks of coordinate planes: one Box-Muller call
-per shard, whole-shard (size, m, d) row arrays, one indicator per member
-list, and the uniform box's row-wise pdf.  It is kept only as a reference.
-Every estimate, normal and uniform-box density value of the package must
-equal it bit for bit.
+per shard, whole-shard (size, m, d) row arrays and one indicator per member
+list, times the density's closed-form factor.  It is kept only as a
+reference.  Every estimate, normal and uniform-box density value of the
+package must equal it bit for bit.
+
+`row_wise_density_factor` is the Monte Carlo estimate of the density factor
+that the estimator used before that factor had a closed form: the mean of
+f(x)^m over the region, x ~ f.  It stays as a statistical oracle for
+`Density.power_integral`.
 """
 
 import math
@@ -29,8 +34,17 @@ from softplex import (
 from softplex import constants
 from softplex.complexes import _min_ball_radii
 from softplex.geometry import region_mask
-from softplex.constants import _mean_and_se, _product_estimate, _shard_sizes, unit_ball_volume
-from softplex.rng import MC_INNER_STREAM, MC_OUTER_STREAM, generator, standard_normals
+from softplex.constants import _shard_sizes, unit_ball_volume
+from softplex.rng import MC_INNER_STREAM, generator, standard_normals
+
+# the stream tag the estimator's density-factor samples used to draw from
+RETIRED_DENSITY_STREAM = 6
+
+
+def mean_and_se(total, total_sq, count):
+    mean = total / count
+    var = max(total_sq / count - mean * mean, 0.0)
+    return mean, math.sqrt(var / count)
 
 
 def row_wise_normals(rng, count):
@@ -78,20 +92,33 @@ def row_wise_indicator(block, members, flavor):
     return _min_ball_radii(planes.transpose(2, 0, 1)) <= 0.5
 
 
-def row_wise_estimate(kind, k, l, j, d, density, region, samples, seed, shard):
-    flavor = "rips" if kind in ("mu", "phi") else "cech"
-    pair = kind in ("phi", "theta")
-    l, j = (l, j) if pair else (k, k + 1)
-    m = k + l + 1 - j
+def row_wise_density_factor(density, region, m, samples, seed, shard):
+    """(mean, stderr) of f(x)^m * [x in region] over samples x ~ f."""
     total = total_sq = 0.0
     for index, size in enumerate(_shard_sizes(samples, shard)):
-        x = density.sample(generator(seed, MC_OUTER_STREAM, index), size)
+        x = density.sample(generator(seed, RETIRED_DENSITY_STREAM, index), size)
         vals = row_wise_pdf(density, x) ** m if m else np.ones(size)
         if region.kind != "all":
             vals = vals * region_mask(x, region)
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
-    outer = _mean_and_se(total, total_sq, samples)
+    return mean_and_se(total, total_sq, samples)
+
+
+def closed_density_factor(density, region, m):
+    whole = density.power_integral(m)
+    if region.kind == "all":
+        return whole
+    inside = density.power_integral(m, region.lo, region.hi)
+    return inside if region.kind == "box" else whole - inside
+
+
+def row_wise_estimate(kind, k, l, j, d, density, region, samples, seed, shard):
+    flavor = "rips" if kind in ("mu", "phi") else "cech"
+    pair = kind in ("phi", "theta")
+    l, j = (l, j) if pair else (k, k + 1)
+    m = k + l + 1 - j
+    outer = closed_density_factor(density, region, m)
     inner = (1.0, 0.0)
     if m:
         first = list(range(k + 1))
@@ -105,11 +132,11 @@ def row_wise_estimate(kind, k, l, j, d, density, region, samples, seed, shard):
             for members in distinct:
                 ok &= row_wise_indicator(block, list(members), flavor)
             hits += float(ok.sum())
-        mean, se = _mean_and_se(hits, hits, samples)
+        mean, se = mean_and_se(hits, hits, samples)
         volume = unit_ball_volume(d) ** m
         inner = (mean * volume, se * volume)
     coeff = 1.0 / (math.factorial(j) * math.factorial(k + 1 - j) * math.factorial(l + 1 - j))
-    return _product_estimate(coeff, outer, inner)
+    return coeff * outer * inner[0], coeff * outer * inner[1]
 
 
 ESTIMATORS = {"mu": estimate_mu, "nu": estimate_nu, "phi": estimate_phi, "theta": estimate_theta}
@@ -179,7 +206,7 @@ def test_blocked_estimates_equal_the_row_wise_reference(case, shard, block, samp
     ("mu", (3,), 2, 349_525 + 5, ALL_SPACE),
     ("theta", (2, 1, 1), 3, 3 * 8192 + 7, ALL_SPACE),  # blocks; d = 3 sums of squares
     ("nu", (2,), 2, 2 * 8192 + 1, ALL_SPACE),
-    ("mu", (1,), 2, (1 << 20) + 3, RegionSpec("box", [0.2, 0.2], [0.7, 0.7])),  # two outer shards
+    ("mu", (1,), 2, (1 << 20) + 3, RegionSpec("box", [0.2, 0.2], [0.7, 0.7])),  # two shards
 ])
 def test_blocked_estimates_equal_the_row_wise_reference_at_full_size(kind, args, d, samples,
                                                                      region):
@@ -189,6 +216,22 @@ def test_blocked_estimates_equal_the_row_wise_reference_at_full_size(kind, args,
     value, stderr = row_wise_estimate(kind, k, l, j, d, density, region, samples, 9,
                                       constants._SHARD)
     assert (est.value, est.stderr, est.samples) == (value, stderr, samples)
+
+
+@settings(max_examples=60)
+@given(data=st.data(), d=st.integers(1, 3), power=st.integers(0, 3),
+       seed=st.integers(0, 2**32))
+def test_closed_density_factor_agrees_with_the_sampled_one(data, d, power, seed):
+    # a region of tiny mass can draw no hits, and then a sample stderr of 0,
+    # so the bound takes the exact stderr too: the variance of f^m over the
+    # region is the factor at power 2m minus the square of the factor at m
+    density, region = data.draw(densities(d)), data.draw(regions(d))
+    samples = 20_000
+    mean, se = row_wise_density_factor(density, region, power, samples, seed, 4096)
+    value = closed_density_factor(density, region, power)
+    exact_se = math.sqrt(max(closed_density_factor(density, region, 2 * power) - value**2, 0.0)
+                         / samples)
+    assert abs(mean - value) <= 5.0 * max(se, exact_se) + 1e-12 * value
 
 
 @settings(max_examples=150)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from softplex import (
     ConfigurationError,
@@ -96,3 +97,50 @@ def test_bad_configs_rejected():
         GaussianIsotropic(mean=[0.0], sigma=0.0)
     with pytest.raises(ConfigurationError):
         PiecewiseConstantGrid(lo=[0.0], hi=[1.0], weights=[0.0, 0.0])
+
+
+@pytest.mark.parametrize("power", range(5))
+def test_unit_box_power_integral_is_exactly_one(power):
+    for d in (1, 2, 3):
+        assert UniformBox(lo=[0.0] * d, hi=[1.0] * d).power_integral(power) == 1.0
+
+
+def test_uniform_box_power_integral_over_boxes():
+    dens = UniformBox(lo=[0.0, 0.0], hi=[2.0, 1.0])
+    assert dens.power_integral(2) == 0.25  # V^-2
+    # the box [1, 3] x [0.5, 3] holds a quarter of the support
+    assert dens.power_integral(2, [1.0, 0.5], [3.0, 3.0]) == 0.25 * 0.25
+    assert dens.power_integral(2, [5.0, 0.0], [6.0, 1.0]) == 0.0
+
+
+@pytest.mark.parametrize("power", range(4))
+def test_gaussian_power_integral_matches_the_formula_and_quadrature(power):
+    sigma, d = 0.7, 3
+    dens = GaussianIsotropic(mean=[0.2, -1.0, 3.0], sigma=sigma)
+    formula = (2.0 * math.pi * sigma**2) ** (-d * power / 2.0) * (power + 1.0) ** (-d / 2.0)
+    assert dens.power_integral(power) == pytest.approx(formula, rel=1e-14)
+    line = GaussianIsotropic(mean=[0.3], sigma=sigma)
+    for lo, hi in ((-np.inf, np.inf), (-0.5, 1.2), (2.0, np.inf)):
+        want, _ = integrate.quad(lambda x: line.pdf([x]) ** (power + 1), lo, hi,
+                                 epsabs=0.0, epsrel=1e-12)
+        assert line.power_integral(power, lo, hi) == pytest.approx(want, rel=1e-9)
+
+
+def test_grid_power_integral_over_a_box_that_cuts_cells():
+    # two cells of area 1 with densities 0.25 and 0.75; the box takes a
+    # quarter of each
+    dens = PiecewiseConstantGrid(lo=[0.0, 0.0], hi=[2.0, 1.0], weights=[[1.0], [3.0]])
+    assert dens.power_integral(0) == pytest.approx(1.0, rel=1e-15)
+    assert dens.power_integral(1) == pytest.approx(0.25**2 + 0.75**2, rel=1e-15)
+    cut = dens.power_integral(1, [0.5, 0.5], [1.5, 2.0])
+    assert cut == pytest.approx(0.25 * (0.25**2 + 0.75**2), rel=1e-15)
+    assert dens.power_integral(1, [0.5, -1.0], [1.0, 2.0]) == pytest.approx(0.5 * 0.25**2,
+                                                                           rel=1e-15)
+
+
+def test_power_integral_bounds_of_another_dimension_are_input_errors():
+    for dens in (UniformBox(lo=[0.0, 0.0], hi=[1.0, 1.0]),
+                 GaussianIsotropic(mean=[0.0, 0.0], sigma=1.0),
+                 PiecewiseConstantGrid(lo=[0.0, 0.0], hi=[1.0, 1.0], weights=[[1.0]])):
+        with pytest.raises(InputError, match="dimension"):
+            dens.power_integral(1, [0.0], [1.0])

@@ -29,6 +29,7 @@ from softplex import (
     retention_exponent,
     run_experiment,
     sample_binomial,
+    sample_poisson,
 )
 from softplex.errors import count
 
@@ -55,6 +56,7 @@ REFUSED = {
     "regime-n-zero": lambda: regime_check(0, 0.1, 1, (1.0,), ("fk", 1)),
     "regime-n-inf": lambda: regime_check(math.inf, 0.1, 1, (1.0,), ("fk", 1)),
     "regime-r-nan": lambda: regime_check(100, math.nan, 1, (1.0,), ("fk", 1)),
+    "regime-r-inf": lambda: regime_check(100, math.inf, 1, (1.0,), ("fk", 1)),
     "regime-d-zero": lambda: regime_check(100, 0.1, 0, (1.0,), ("fk", 1)),
     "regime-d-fraction": lambda: regime_check(100, 0.1, 1.5, (1.0,), ("fk", 1)),
     "regime-level-fraction": lambda: regime_check(100, 0.1, 1, (1.0, 1.0), ("fk", 1.5)),
@@ -66,6 +68,7 @@ REFUSED = {
     "sample-n-bool": lambda: sample_binomial(True, UNIT_1D, 0),
     "sample-n-fraction": lambda: sample_binomial(100.7, UNIT_1D, 0),
     "sample-n-inf": lambda: sample_binomial(math.inf, UNIT_1D, 0),
+    "poisson-lam-inf": lambda: sample_poisson(math.inf, UNIT_1D, 0),
     "build-k_max-fraction": lambda: build_complex(graph(), 2.5),
     "build-k_max-bool": lambda: build_complex(graph(), True),
     "build-rho-strings": lambda: build_complex(graph(), 1, rho=("a",)),
@@ -81,6 +84,16 @@ REFUSED = {
     "config-replications-fraction": lambda: config_from_dict({**CONFIG, "replications": 10.5}),
     "config-statistic-k-fraction": lambda: config_from_dict(
         {**CONFIG, "statistic": {"kind": "fk", "k": 1.2}}),
+    "config-n-string": lambda: config_from_dict({**CONFIG, "n": "300"}),
+    "config-poisson-n-bool": lambda: config_from_dict({**CONFIG, "process": "poisson", "n": True}),
+    "config-r-string": lambda: config_from_dict({**CONFIG, "r": "0.003"}),
+    "config-r_exponent-string": lambda: config_from_dict(
+        {**{k: v for k, v in CONFIG.items() if k != "r"}, "r_exponent": "1.1"}),
+    "config-max_predicted_faces-string": lambda: config_from_dict(
+        {**CONFIG, "max_predicted_faces": "1e3"}),
+    "config-rho-entry-string": lambda: config_from_dict({**CONFIG, "rho": ["0.5", 1.0]}),
+    "config-rho_exponents-entry-bool": lambda: config_from_dict(
+        {**CONFIG, "rho_exponents": [True, 0.5]}),
 }
 
 
