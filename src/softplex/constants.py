@@ -16,7 +16,10 @@ phi / theta come from one estimator.  This is the product form of Penrose
 form for every supported density and region (`Density.power_integral`), so
 only the indicator integral is sampled, by uniform draws from the unit ball,
 whose support contains the indicator; the standard error is that of the
-indicator integral, scaled by the exact factors.
+indicator integral, scaled by the exact factors.  A member list of at most
+two points (the origin and one point of the unit ball) is always a face, so
+it is never tested; with no list left (every m = 1 constant, phi / theta
+(1, 1, 1)) the indicator factor is exactly vol(B)^m and nothing is drawn.
 
 The indicator samples fall into fixed shards, each drawn from its own
 derived stream, and one thread pool runs the shards.  A shard's tuples are
@@ -220,7 +223,9 @@ def _estimate(kind: str, k: int, l: int | None, j: int | None, d: int, density: 
     vanishes unless every point lies in the unit ball around the origin
     (every tuple holds the origin and is admissible at scale 1), so uniform
     draws from B(0, 1)^m with the matching volume factor are exact.  Each
-    distinct member list is tested once.
+    distinct member list of three or more points is tested once; a shorter
+    list always passes.  With no list to test the indicator mean is exactly
+    1, no shard runs, and `samples` still reports the requested count.
     """
     flavor, pair = _KINDS[kind]
     if pair and (l is None or j is None):
@@ -244,9 +249,11 @@ def _estimate(kind: str, k: int, l: int | None, j: int | None, d: int, density: 
     if m:
         first = tuple(range(k + 1))
         second = tuple(range(j)) + tuple(range(k + 1, k + l + 2 - j))
-        distinct = list(dict.fromkeys((first, second)))
-        worker = _inner_worker(m, d, distinct, flavor, seed)
-        mean = _sharded_sums(worker, max(1, _SHARD // m), samples, threads) / samples
+        tested = [members for members in dict.fromkeys((first, second)) if len(members) > 2]
+        mean = 1.0
+        if tested:
+            worker = _inner_worker(m, d, tested, flavor, seed)
+            mean = _sharded_sums(worker, max(1, _SHARD // m), samples, threads) / samples
         volume = unit_ball_volume(d) ** m
         # an indicator's variance is mean - mean^2, and never below 0 for mean in [0, 1]
         inner = (mean * volume, math.sqrt((mean - mean * mean) / samples) * volume)

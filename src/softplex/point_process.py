@@ -9,7 +9,6 @@ Clouds are immutable after creation and reproduce bit-identically from
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +16,9 @@ import numpy as np
 from .densities import Density
 from .errors import InputError, count
 from .rng import COUNT_STREAM, POINT_STREAM, generator
+
+# the largest intensity numpy's Poisson sampler takes
+_POISSON_MAX = float(np.iinfo(np.int64).max - 10.0 * np.sqrt(np.iinfo(np.int64).max))
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,8 @@ def sample_poisson(lam: float, density: Density, seed: int) -> PointCloud:
     from the same point stream a binomial cloud with this seed would use.
     """
     lam = float(lam)
-    if not 0 < lam < math.inf:
-        raise InputError(f"poisson intensity must be finite and positive, got {lam}")
+    if not 0 < lam <= _POISSON_MAX:
+        raise InputError(f"poisson intensity must lie in (0, {_POISSON_MAX:.4g}], got {lam}")
     n = int(generator(seed, COUNT_STREAM).poisson(lam))
     if n == 0:
         pts = np.empty((0, density.dimension))

@@ -248,6 +248,7 @@ MALFORMED = {
     # argv, and the overrides of the experiment config exp.json
     "sample-n-inf": (["sample", "--n", "inf", "--out", "out.csv"], {}),
     "sample-n-overflow": (["sample", "--n", "1e400", "--out", "out.csv"], {}),
+    "sample-poisson-n-huge": (["sample", "--poisson", "--n", "1e300", "--out", "out.csv"], {}),
     "constants-samples-inf": (["constants", "--kind", "mu", "--k", "1", "--d", "1",
                                "--samples", "inf", "--out", "out.json"], {}),
     "config-n-string": (RUN, {"n": "abc"}),

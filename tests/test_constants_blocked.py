@@ -5,7 +5,8 @@ kernel moved to cache-sized blocks of coordinate planes: one Box-Muller call
 per shard, whole-shard (size, m, d) row arrays and one indicator per member
 list, times the density's closed-form factor.  It is kept only as a
 reference.  Every estimate, normal and uniform-box density value of the
-package must equal it bit for bit.
+package must equal it bit for bit, including the estimates whose member
+lists all have at most two points, which the package no longer samples.
 
 `row_wise_density_factor` is the Monte Carlo estimate of the density factor
 that the estimator used before that factor had a closed form: the mean of
@@ -206,7 +207,8 @@ def test_blocked_estimates_equal_the_row_wise_reference(case, shard, block, samp
     ("mu", (3,), 2, 349_525 + 5, ALL_SPACE),
     ("theta", (2, 1, 1), 3, 3 * 8192 + 7, ALL_SPACE),  # blocks; d = 3 sums of squares
     ("nu", (2,), 2, 2 * 8192 + 1, ALL_SPACE),
-    ("mu", (1,), 2, (1 << 20) + 3, RegionSpec("box", [0.2, 0.2], [0.7, 0.7])),  # two shards
+    # two shards of 2-point tuples
+    ("mu", (2,), 2, (1 << 19) + 3, RegionSpec("box", [0.2, 0.2], [0.7, 0.7])),
 ])
 def test_blocked_estimates_equal_the_row_wise_reference_at_full_size(kind, args, d, samples,
                                                                      region):
@@ -216,6 +218,68 @@ def test_blocked_estimates_equal_the_row_wise_reference_at_full_size(kind, args,
     value, stderr = row_wise_estimate(kind, k, l, j, d, density, region, samples, 9,
                                       constants._SHARD)
     assert (est.value, est.stderr, est.samples) == (value, stderr, samples)
+
+
+# every member list of these has at most two points: (kind, args, m)
+EXACT_INNER = [("mu", (1,), 1), ("nu", (1,), 1), ("phi", (1, 1, 1), 2),
+               ("theta", (1, 1, 1), 2), ("phi", (0, 1, 1), 1), ("theta", (1, 0, 1), 1)]
+
+
+def never_called(*args, **kwargs):
+    raise AssertionError("an exact inner factor drew or tested something")
+
+
+@settings(max_examples=60)
+@given(data=st.data(), d=st.integers(1, 3), case=st.sampled_from(EXACT_INNER),
+       samples=st.integers(1, 10**7), seed=st.integers(0, 2**32))
+def test_lists_of_at_most_two_points_draw_nothing(data, d, case, samples, seed):
+    kind, args, m = case
+    density, region = data.draw(densities(d)), data.draw(regions(d))
+    k, l, j = (args[0], args[0], args[0] + 1) if len(args) == 1 else args
+    coeff = 1.0 / (math.factorial(j) * math.factorial(k + 1 - j) * math.factorial(l + 1 - j))
+    with mock.patch.multiple(constants, generator=never_called, _inner_worker=never_called,
+                             ThreadPoolExecutor=never_called):
+        est = ESTIMATORS[kind](*args, d, density, region=region, samples=samples, seed=seed,
+                               threads=2)
+    want = coeff * closed_density_factor(density, region, m) * unit_ball_volume(d) ** m
+    assert (est.value, est.stderr, est.samples) == (want, 0.0, samples)
+
+
+@settings(max_examples=40)
+@given(data=st.data(), d=st.integers(1, 3), case=st.sampled_from(EXACT_INNER),
+       samples=st.integers(1, 3000), seed=st.integers(0, 2**32))
+def test_exact_inner_factors_equal_the_sampling_reference(data, d, case, samples, seed):
+    # the reference still draws and tests every list, and every tuple passes
+    kind, args, _ = case
+    density, region = data.draw(densities(d)), data.draw(regions(d))
+    k, l, j = (args[0], None, None) if len(args) == 1 else args
+    est = ESTIMATORS[kind](*args, d, density, region=region, samples=samples, seed=seed)
+    value, stderr = row_wise_estimate(kind, k, l, j, d, density, region, samples, seed,
+                                      constants._SHARD)
+    assert (est.value, est.stderr, est.samples) == (value, stderr, samples)
+
+
+@pytest.mark.parametrize("kind", ["phi", "theta"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_a_three_point_list_still_draws_and_tests_only_itself(kind, d):
+    # (2, 1, 1) has the lists (0, 1, 2) and (0, 3): the first is sampled as
+    # before, the always-true second is no longer tested
+    density = UniformBox([0.0] * d, [1.0] * d)
+    tested = []
+    admissible = constants._admissible
+
+    def recording(planes, member_lists, flavor):
+        tested.append(list(member_lists))
+        return admissible(planes, member_lists, flavor)
+
+    with mock.patch.object(constants, "generator", wraps=generator) as drawn, \
+            mock.patch.object(constants, "_admissible", recording):
+        est = ESTIMATORS[kind](2, 1, 1, d, density, samples=5000, seed=d)
+    value, stderr = row_wise_estimate(kind, 2, 1, 1, d, density, ALL_SPACE, 5000, d,
+                                      constants._SHARD)
+    assert (est.value, est.stderr, est.samples) == (value, stderr, 5000)
+    assert drawn.call_count == 1 and stderr > 0.0
+    assert tested and all(lists == [(0, 1, 2)] for lists in tested)
 
 
 @settings(max_examples=60)
@@ -235,7 +299,7 @@ def test_closed_density_factor_agrees_with_the_sampled_one(data, d, power, seed)
 
 
 @settings(max_examples=150)
-@given(d=st.integers(2, 4), k=st.integers(1, 4), block=st.integers(3, 40),
+@given(d=st.integers(2, 4), k=st.integers(2, 4), block=st.integers(3, 40),
        whole=st.integers(1, 4), rest=st.integers(0, 2), seed=st.integers(0, 2**32))
 def test_enclosing_ball_radii_equal_the_row_wise_ones(d, k, block, whole, rest, seed):
     # an indicator hides a last-bit change in a radius, so compare the radii:

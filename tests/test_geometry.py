@@ -98,7 +98,7 @@ def clustered_with_outlier(rng, n, d):
     (3, 0.02, "uniform"), (3, 0.15, "uniform"),
     (2, 0.001, "clustered"), (3, 0.004, "clustered"),
 ])
-def test_grid_matches_label_ordered_reference(d, r, kind):
+def test_threshold_pairs_match_bruteforce_on_fixed_clouds(d, r, kind):
     # Sparse and dense ends at n = 2000; the outlier stretches the cloud far past the cluster.
     rng = np.random.default_rng(2000 + 10 * d)
     pts = rng.random((2000, d)) if kind == "uniform" else clustered_with_outlier(rng, 2000, d)

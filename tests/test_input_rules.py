@@ -69,6 +69,9 @@ REFUSED = {
     "sample-n-fraction": lambda: sample_binomial(100.7, UNIT_1D, 0),
     "sample-n-inf": lambda: sample_binomial(math.inf, UNIT_1D, 0),
     "poisson-lam-inf": lambda: sample_poisson(math.inf, UNIT_1D, 0),
+    # numpy's Poisson sampler refuses every float above 9.223372006484771e18
+    "poisson-lam-above-numpy-limit": lambda: sample_poisson(
+        math.nextafter(9.223372006484771e18, math.inf), UNIT_1D, 0),
     "build-k_max-fraction": lambda: build_complex(graph(), 2.5),
     "build-k_max-bool": lambda: build_complex(graph(), True),
     "build-rho-strings": lambda: build_complex(graph(), 1, rho=("a",)),
