@@ -54,7 +54,7 @@ from itertools import combinations
 import numpy as np
 
 from ._grouping import _find, group_boundaries, pairs_within_groups
-from .errors import ConfigurationError, InputError, count
+from .errors import ConfigurationError, InputError, count, real
 from .geometry import GeometricGraph, RegionSpec, ALL_SPACE, build_graph, region_mask
 from .point_process import PointCloud
 from .rng import FACE_COIN_STREAM, derive_seed, uniform_coins
@@ -93,10 +93,8 @@ class SimplicialComplex:
 
 def _retention(rho, top: int) -> tuple:
     """The retention vector as floats, checked against the top dimension it thins."""
-    try:
-        rho = tuple(float(p) for p in np.asarray(rho, dtype=np.float64).ravel())
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"retention vector must be numbers, got {rho!r}") from None
+    rho = tuple(real(p, "retention probability", error=ConfigurationError)
+                for p in np.asarray(rho, dtype=object).ravel())
     if len(rho) < top:
         raise ConfigurationError(
             f"retention vector of length {len(rho)} is too short for faces up to dimension {top}"

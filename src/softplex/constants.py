@@ -52,7 +52,7 @@ import numpy as np
 
 from .complexes import _min_ball_radii, _retention
 from .densities import Density
-from .errors import ConfigurationError, InputError, count
+from .errors import ConfigurationError, InputError, count, real
 from .geometry import ALL_SPACE, RegionSpec
 from .rng import MC_INNER_STREAM, box_muller, box_muller_radii, generator
 
@@ -289,6 +289,14 @@ def _log_or_zero(value: float) -> float:
     return math.log(value) if value > 0 else -math.inf
 
 
+def _exp(log_value: float, what: str) -> float:
+    """exp(log_value), or an InputError naming the quantity when that overflows a float."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise InputError(f"{what} overflows a float: its log is {log_value:.6g}") from None
+
+
 def _log_product(bases, exponents) -> float:
     """log of prod b^e; a zero exponent adds nothing, so 0^0 is 1 and r = 0 leaves f_0 at n."""
     return sum(e * _log_or_zero(b) for b, e in zip(bases, exponents) if e)
@@ -339,15 +347,16 @@ def predicted_moments(n: float, r: float, d: int, rho, k: int, l: int | None = N
     """
     if flavor not in _FLAVOR_KINDS:
         raise ConfigurationError(f"flavor must be 'rips' or 'cech', got {flavor!r}")
+    n, r = real(n, "n", 0), real(r, "r")
     face_kind, pair_kind = _FLAVOR_KINDS[flavor]
     face = _find_constant(constants, face_kind, k).value
-    mean = variance = face * math.exp(log_growth_quantity(n, r, d, rho, k))
+    mean = variance = face * _exp(log_growth_quantity(n, r, d, rho, k), f"the f_{k} scale")
     covariance = None
     if l is not None:
         covariance = 0.0
         for j in range(1, min(k, l) + 2):
             pair = _find_constant(constants, pair_kind, k, l, j).value
-            covariance += pair * math.exp(_log_scale(n, r, d, rho, k, l, j))
+            covariance += pair * _exp(_log_scale(n, r, d, rho, k, l, j), f"the {(k, l, j)} scale")
     return MomentPrediction(mean=mean, variance=variance, covariance=covariance)
 
 
@@ -426,22 +435,19 @@ def regime_check(n: float, r: float, d: int, rho, mode: tuple[str, int],
         raise InputError(f"mode must be ('fk', k) or ('chi', l), got {mode}")
     level = count(level, f"{kind} mode level")
     d = count(d, "d", 1)
-    if not 0 < n < math.inf:
-        raise InputError(f"n must be a finite positive number, got {n!r}")
-    if not 0 <= r < math.inf:
-        raise InputError(f"r must be a finite nonnegative number, got {r!r}")
+    n, r = real(n, "n", 0), real(r, "r")  # r < 0 fails in _log_or_zero
     rho = _retention(rho, level + 1 if kind == "chi" else level)
-    nrd = math.exp(math.log(n) + d * _log_or_zero(r))
+    nrd = _exp(math.log(n) + d * _log_or_zero(r), "n r^d")
     quantities = {"nr^d": nrd}
     flags = {"sparse_ok": nrd < sparse_threshold}
     thresholds = {"sparse": sparse_threshold, "growth": growth_threshold}
-    growth = math.exp(log_growth_quantity(n, r, d, rho, level))
+    growth = _exp(log_growth_quantity(n, r, d, rho, level), "the growth quantity")
     quantities[f"growth_{'k' if kind == 'fk' else 'l'}{level}"] = growth
     flags["growth_ok"] = growth > growth_threshold
     if kind == "chi":
-        vanish = math.exp(log_growth_quantity(n, r, d, rho, level + 1))
+        vanish = _exp(log_growth_quantity(n, r, d, rho, level + 1), "the vanish quantity")
         quantities[f"vanish_l{level + 1}"] = vanish
         flags["vanish_ok"] = vanish < vanish_threshold
         thresholds["vanish"] = vanish_threshold
-    return RegimeReport(n=float(n), r=float(r), d=d, rho=rho, mode=kind, k_or_l=level,
+    return RegimeReport(n=n, r=r, d=d, rho=rho, mode=kind, k_or_l=level,
                         quantities=quantities, flags=flags, thresholds=thresholds)

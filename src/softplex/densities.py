@@ -15,7 +15,7 @@ import math
 import numpy as np
 from scipy.special import ndtr
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, box, real
 from .rng import standard_normals
 
 
@@ -59,6 +59,16 @@ def _box(lo, hi, d: int) -> list[np.ndarray]:
     return [np.broadcast_to(bound, (d,)) for bound in box]
 
 
+def _check(density: Density, kind: str, *params) -> None:
+    """Refuse NaN or infinite parameters, and a sup norm that is not finite and positive."""
+    if not all(np.isfinite(p).all() for p in params):
+        raise ConfigurationError(f"{kind} parameters must be finite")
+    try:
+        real(density.sup_norm, f"{kind} sup norm", 0, ConfigurationError)
+    except ArithmeticError:  # 1 / 0.0, 0.0 to a negative power, or an overflow
+        raise ConfigurationError(f"{kind} sup norm is out of the range of a float") from None
+
+
 def _overlaps(edges_lo, edges_hi, lo, hi):
     """Lengths of [edges_lo, edges_hi] & [lo, hi], 0 where they miss."""
     return np.maximum(np.minimum(edges_hi, hi) - np.maximum(edges_lo, lo), 0.0)
@@ -66,15 +76,10 @@ def _overlaps(edges_lo, edges_hi, lo, hi):
 
 class UniformBox(Density):
     def __init__(self, lo, hi):
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
-        if lo.ndim != 1 or lo.size == 0 or lo.shape != hi.shape:
-            raise ConfigurationError("uniform-box lo/hi must be equal-length nonempty vectors")
-        if not np.all(hi > lo):
-            raise ConfigurationError("uniform-box requires hi > lo in every coordinate")
-        self.lo = lo
-        self.hi = hi
-        self.volume = float(np.prod(hi - lo))
+        self.lo, self.hi = box(lo, hi, "uniform-box")
+        with np.errstate(all="ignore"):  # checked next
+            self.volume = float(np.prod(self.hi - self.lo))
+        _check(self, "uniform-box", self.lo, self.hi)
 
     @property
     def dimension(self) -> int:
@@ -104,14 +109,11 @@ class UniformBox(Density):
 
 class GaussianIsotropic(Density):
     def __init__(self, mean, sigma):
-        mean = np.asarray(mean, dtype=np.float64)
+        self.mean = mean = np.asarray(mean, dtype=np.float64)
         if mean.ndim != 1 or mean.size == 0:
             raise ConfigurationError("gaussian mean must be a nonempty vector")
-        sigma = float(sigma)
-        if not sigma > 0:
-            raise ConfigurationError("gaussian sigma must be positive")
-        self.mean = mean
-        self.sigma = sigma
+        self.sigma = real(sigma, "gaussian sigma", 0, ConfigurationError)
+        _check(self, "gaussian", mean)
 
     @property
     def dimension(self) -> int:
@@ -152,24 +154,19 @@ class PiecewiseConstantGrid(Density):
     """
 
     def __init__(self, lo, hi, weights):
-        lo = np.asarray(lo, dtype=np.float64)
-        hi = np.asarray(hi, dtype=np.float64)
+        self.lo, self.hi = lo, hi = box(lo, hi, "grid")
         w = np.asarray(weights, dtype=np.float64)
-        if lo.ndim != 1 or lo.size == 0 or lo.shape != hi.shape:
-            raise ConfigurationError("grid lo/hi must be equal-length nonempty vectors")
-        if not np.all(hi > lo):
-            raise ConfigurationError("grid requires hi > lo in every coordinate")
         if w.ndim != lo.shape[0]:
             raise ConfigurationError(
                 f"weights must have one axis per dimension ({lo.shape[0]}), got {w.ndim}"
             )
         if np.any(w < 0) or not np.any(w > 0):
             raise ConfigurationError("weights must be nonnegative with a positive total")
-        self.lo = lo
-        self.hi = hi
-        self.cell_volume = float(np.prod((hi - lo) / np.asarray(w.shape)))
-        # normalize so the cell-volume-weighted sum is 1
-        self.density = w / (w.sum() * self.cell_volume)
+        with np.errstate(all="ignore"):  # checked next
+            self.cell_volume = float(np.prod((hi - lo) / np.asarray(w.shape)))
+            # normalize so the cell-volume-weighted sum is 1
+            self.density = w / (w.sum() * self.cell_volume)
+        _check(self, "grid", lo, hi, w)
 
     @property
     def dimension(self) -> int:

@@ -14,7 +14,6 @@ comparisons against the vertex count.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -25,7 +24,8 @@ from scipy.special import ndtr
 from .complexes import _retention, build_complex, euler_characteristic, face_counts
 from .constants import unit_ball_volume
 from .densities import Density, UniformBox, density_from_config
-from .errors import ConfigurationError, DegenerateSampleError, InputError, MemoryGuardError, count
+from .errors import (ConfigurationError, DegenerateSampleError, InputError, MemoryGuardError,
+                     count, real)
 from .geometry import ALL_SPACE, RegionSpec, build_graph, region_from_config
 from .point_process import sample_binomial, sample_poisson
 from .rng import REPLICATION_STREAM, derive_seed
@@ -50,6 +50,7 @@ class ExperimentConfig:
     rho_exponents: tuple | None = None  # p_i = n^(-b_i)
     region: RegionSpec = ALL_SPACE
     max_predicted_faces: float = DEFAULT_FACE_CAP
+    radius: float = field(init=False, repr=False)  # r, or the r_exponent rule, evaluated
     retention: tuple = field(init=False, repr=False)  # rho, or the rho_exponents rule, evaluated
 
     def __post_init__(self):
@@ -60,14 +61,15 @@ class ExperimentConfig:
         for name, least in (("d", 1), ("k_max", 0), ("replications", 2), ("master_seed", None)):
             value = count(getattr(self, name), name, least, ConfigurationError)
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "n", real(self.n, f"{self.process} n", 1, ConfigurationError))
         if self.process == "binomial":
             count(self.n, "binomial n", 1, ConfigurationError)
-        elif not self.n >= 1:  # NaN fails too
-            raise ConfigurationError(f"poisson n must be >= 1, got {self.n!r}")
         if (self.r is None) == (self.r_exponent is None):
             raise ConfigurationError("exactly one of r / r_exponent must be given")
-        if self.r is not None and not self.r > 0:
-            raise ConfigurationError(f"r must be positive, got {self.r}")
+        for name, least in (("r", 0), ("r_exponent", None), ("max_predicted_faces", 0)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, real(getattr(self, name), name, least,
+                                                    ConfigurationError))
         if self.rho is not None and self.rho_exponents is not None:
             raise ConfigurationError("give at most one of rho / rho_exponents")
         if self.statistic[0] == "fk" and len(self.statistic) == 2:
@@ -83,21 +85,18 @@ class ExperimentConfig:
             object.__setattr__(self, "density", density)
         if density.dimension != self.d:
             raise ConfigurationError(f"density dimension {density.dimension} != d={self.d}")
-        if self.rho is not None:
-            rho = self.rho
-        elif self.rho_exponents is not None:
-            rho = tuple(float(self.n ** (-b)) for b in self.rho_exponents)
-        else:
-            rho = (1.0,) * max(self.k_max, 1)
+        rho = self.rho if self.rho is not None else (1.0,) * max(self.k_max, 1)
+        try:  # the rules r^d = n^-a and p_i = n^-b_i may round to 0 or overflow
+            radius = self.r if self.r is not None else self.n ** (-self.r_exponent / self.d)
+            object.__setattr__(self, "radius", real(radius, "the radius", 0, ConfigurationError))
+            if self.rho_exponents is not None:
+                rho = tuple(float(self.n ** -real(b, "rho exponent", error=ConfigurationError))
+                            for b in self.rho_exponents)
+        except OverflowError:
+            raise ConfigurationError("r_exponent or rho_exponents overflow a float") from None
         object.__setattr__(self, "retention", _retention(rho, self.k_max))
         if self.rho is not None:
             object.__setattr__(self, "rho", self.retention)
-
-    @property
-    def radius(self) -> float:
-        if self.r is not None:
-            return float(self.r)
-        return float(self.n ** (-self.r_exponent / self.d))
 
     def to_config(self) -> dict:
         out = {
@@ -131,13 +130,6 @@ _REQUIRED_KEYS = {f.name for f in fields(ExperimentConfig)
                   if f.init and f.default is MISSING and f.default_factory is MISSING}
 
 
-def _number(value):
-    """value itself if it is a JSON number: a string, a bool or null is refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigurationError(f"a real-valued config field must be a number, got {value!r}")
-    return value
-
-
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """Parse a JSON experiment description, rejecting unknown keys."""
     if not isinstance(raw, dict):
@@ -148,6 +140,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     missing = _REQUIRED_KEYS - set(raw)
     if missing:
         raise ConfigurationError(f"missing config keys: {sorted(missing)}")
+    nulls = sorted(key for key, value in raw.items() if value is None)
+    if nulls:
+        raise ConfigurationError(f"config keys may not be null: {nulls}")
     density = density_from_config(raw["density"]) if "density" in raw else None
     region = region_from_config(raw["region"]) if "region" in raw else ALL_SPACE
     stat_raw = raw["statistic"]
@@ -164,23 +159,9 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
             statistic = ("chi",)
         else:
             raise ConfigurationError(f"unknown statistic kind {stat_raw['kind']!r}")
-        return ExperimentConfig(
-            model=raw["model"],
-            process=raw["process"],
-            n=float(_number(raw["n"])),
-            d=raw["d"],
-            k_max=raw["k_max"],
-            replications=raw["replications"],
-            master_seed=raw["master_seed"],
-            statistic=statistic,
-            density=density,
-            r=float(_number(raw["r"])) if "r" in raw else None,
-            r_exponent=float(_number(raw["r_exponent"])) if "r_exponent" in raw else None,
-            rho=tuple(map(_number, raw["rho"])) if "rho" in raw else None,
-            rho_exponents=(tuple(map(_number, raw["rho_exponents"]))
-                           if "rho_exponents" in raw else None),
-            max_predicted_faces=float(_number(raw.get("max_predicted_faces", DEFAULT_FACE_CAP))),
-        )
+        # the region is checked above but not passed on: see test_config_from_dict_keeps_region
+        given = {key: raw[key] for key in raw if key not in ("statistic", "density", "region")}
+        return ExperimentConfig(**given, statistic=statistic, density=density)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigurationError(f"experiment config has a malformed field: {exc}") from None
 
@@ -269,9 +250,7 @@ def normalize(samples, mode: str = "empirical", mean: float | None = None,
         if scale == 0.0:
             raise DegenerateSampleError("all samples identical; empirical variance is zero")
     elif mode == "predicted":
-        if mean is None or var is None or not var > 0:
-            raise InputError("predicted mode requires mean and positive var")
-        center, scale = mean, var
+        center, scale = real(mean, "predicted mean"), real(var, "predicted var", 0)
     else:
         raise InputError(f"unknown normalization mode {mode!r}")
     return (samples - center) / math.sqrt(scale)
@@ -352,6 +331,9 @@ class CltReport:
     variance_ratios: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
+        def value(x):  # a statistic that has no value (NaN) is written as null
+            return None if isinstance(x, float) and math.isnan(x) else x
+
         return {
             "sample_size": self.sample_size,
             "empirical_mean": self.empirical_mean,
@@ -359,11 +341,11 @@ class CltReport:
             "predicted_mean": self.predicted_mean,
             "predicted_variance": self.predicted_variance,
             "normalization": self.normalization,
-            "ks_distance": self.ks_distance,
-            "skewness": self.skewness,
-            "excess_kurtosis": self.excess_kurtosis,
-            "jarque_bera": self.jarque_bera,
-            "variance_ratios": self.variance_ratios,
+            "ks_distance": value(self.ks_distance),
+            "skewness": value(self.skewness),
+            "excess_kurtosis": value(self.excess_kurtosis),
+            "jarque_bera": value(self.jarque_bera),
+            "variance_ratios": {key: value(x) for key, x in self.variance_ratios.items()},
             "z_scores": list(self.z_scores),
         }
 

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
-from .errors import ConfigurationError, InputError
+from .errors import ConfigurationError, InputError, box, real
 from .point_process import PointCloud
 
 _NO_EDGES = np.empty((0, 2), dtype=np.int64)
@@ -122,10 +122,8 @@ def build_graph(cloud: PointCloud, r: float, *, seed: int | None = None) -> Geom
     belong to ``build_complex``, which builds both flavours on this graph.
     ``seed`` is accepted and ignored, for callers that still pass one.
     """
-    if not r > 0:
-        raise InputError(f"threshold radius must be positive, got {r}")
-    edges = threshold_pairs(cloud.points, float(r))
-    return GeometricGraph(cloud=cloud, r=float(r), edges=edges)
+    r = real(r, "threshold radius", 0)
+    return GeometricGraph(cloud=cloud, r=r, edges=threshold_pairs(cloud.points, r))
 
 
 def leftmost_point(vertex_indices, cloud: PointCloud) -> int:
@@ -155,14 +153,9 @@ class RegionSpec:
             return
         if self.kind not in ("box", "box-complement"):
             raise ConfigurationError(f"unsupported region kind: {self.kind!r}")
-        if self.lo is None or self.hi is None:
-            raise ConfigurationError(f"region {self.kind!r} requires lo and hi")
-        lo = tuple(float(v) for v in self.lo)
-        hi = tuple(float(v) for v in self.hi)
-        if len(lo) != len(hi) or not all(h > l for l, h in zip(lo, hi)):
-            raise ConfigurationError("region box requires hi > lo in every coordinate")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        lo, hi = box(self.lo, self.hi, f"region {self.kind!r}")  # infinite bounds allowed
+        object.__setattr__(self, "lo", tuple(lo.tolist()))
+        object.__setattr__(self, "hi", tuple(hi.tolist()))
 
     def to_config(self) -> dict:
         if self.kind == "all":

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .densities import Density
-from .errors import InputError, count
+from .errors import InputError, count, real
 from .rng import COUNT_STREAM, POINT_STREAM, generator
 
 # the largest intensity numpy's Poisson sampler takes
@@ -58,9 +58,9 @@ def sample_poisson(lam: float, density: Density, seed: int) -> PointCloud:
     The count N is drawn first from its own stream, then N points are read
     from the same point stream a binomial cloud with this seed would use.
     """
-    lam = float(lam)
-    if not 0 < lam <= _POISSON_MAX:
-        raise InputError(f"poisson intensity must lie in (0, {_POISSON_MAX:.4g}], got {lam}")
+    lam = real(lam, "poisson intensity", 0)
+    if lam > _POISSON_MAX:
+        raise InputError(f"poisson intensity must be at most {_POISSON_MAX:.4g}, got {lam}")
     n = int(generator(seed, COUNT_STREAM).poisson(lam))
     if n == 0:
         pts = np.empty((0, density.dimension))

@@ -8,6 +8,13 @@ from softplex import UniformBox, build_cech, sample_binomial, soft_thin
 from softplex.cli import main
 
 
+def strict_json(text):
+    """json.loads that refuses NaN and infinities, which no artifact may hold."""
+    def refuse(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def write_config(path, **overrides):
     config = {
         "model": "rips",
@@ -28,7 +35,7 @@ def write_config(path, **overrides):
 def test_regime_prints_report(capsys):
     code = main(["regime", "--n", "1e6", "--d", "1", "--a", "1.1", "--k", "1"])
     assert code == 0
-    payload = json.loads(capsys.readouterr().out)
+    payload = strict_json(capsys.readouterr().out)
     assert payload["quantities"]["nr^d"] == pytest.approx(10.0 ** (-0.6))
     assert payload["quantities"]["growth_k1"] == pytest.approx(10.0**5.4)
 
@@ -93,7 +100,7 @@ def test_constants_subcommand_writes_json(tmp_path):
     code = main(["constants", "--kind", "mu", "--k", "1", "--d", "1",
                  "--samples", "1e4", "--seed", "2", "--out", str(out)])
     assert code == 0
-    payload = json.loads(out.read_text())
+    payload = strict_json(out.read_text())
     assert payload["value"] == pytest.approx(1.0)
     assert payload["samples"] == 10_000
     assert payload["params"]["kind"] == "mu"
@@ -135,7 +142,7 @@ def test_experiment_run_and_report_round_trip(tmp_path):
     assert len(lines) == 12
     assert main(["experiment", "report", "--config", str(config),
                  "--in", str(results), "--out", str(report)]) == 0
-    payload = json.loads(report.read_text())
+    payload = strict_json(report.read_text())
     assert payload["config"]["n"] == 300.0
     assert "ks_distance" in payload["report"]
     qq = (tmp_path / "rep.qq.csv").read_text().strip().splitlines()
@@ -195,7 +202,7 @@ def test_experiment_overrides_take_precedence(tmp_path):
     assert lines[1] == "rep,f0,f1,chi,n_points"
     assert lines[2].split(",")[1] == "123"
     # the embedded provenance reflects the resolved values
-    embedded = json.loads(lines[0][len("# config "):])
+    embedded = strict_json(lines[0][len("# config "):])
     assert embedded["n"] == 123.0 and embedded["k_max"] == 1
 
 
@@ -244,6 +251,18 @@ def test_bad_thread_count_exits_one(tmp_path, monkeypatch, caplog, flag, env):
 BAD_CSVS = {"bad.csv": "rep,f0,f1,f2,chi,n_points\n0,300,2,x,298,300\n",
             "short.csv": "rep,f0,f1,f2,chi,n_points\n0,0,0\n"}
 RUN = ["experiment", "run", "--config", "exp.json", "--out", "out.csv"]
+# exp.json's defaults with the rule r^d = n^-a in place of r, inline
+EXPONENT_RULE = ('{"model": "rips", "process": "binomial", "n": 300, "d": 1, "k_max": 2, '
+                 '"replications": 10, "master_seed": 5, "statistic": {"kind": "fk", "k": 1}, '
+                 '"r_exponent": %s}')
+
+
+def constants_on(density: dict) -> list:
+    d = len(density.get("mean", density.get("lo")))
+    return ["constants", "--kind", "mu", "--k", "2", "--d", str(d), "--samples", "100",
+            "--out", "out.json", "--density", json.dumps(density)]
+
+
 MALFORMED = {
     # argv, and the overrides of the experiment config exp.json
     "sample-n-inf": (["sample", "--n", "inf", "--out", "out.csv"], {}),
@@ -290,6 +309,31 @@ MALFORMED = {
     "missing-density-file": (["sample", "--n", "5", "--density", "missing.json",
                               "--out", "out.csv"], {}),
     "out-in-missing-directory": (["sample", "--n", "5", "--out", "missing/out.csv"], {}),
+    # each row below exited 0 or with a traceback before the real and box rules
+    "config-r-inf": (RUN, {"r": float("inf")}),
+    "config-max_predicted_faces-nan": (RUN, {"max_predicted_faces": float("nan")}),
+    "config-r_exponent-radius-zero": (["experiment", "run", "--config", EXPONENT_RULE % "1e308",
+                                       "--out", "out.csv"], {}),
+    "config-r_exponent-radius-overflow": (["experiment", "run", "--config",
+                                           EXPONENT_RULE % "-1e308", "--out", "out.csv"], {}),
+    "constants-uniform-hi-inf": (constants_on(
+        {"kind": "uniform-box", "lo": [0.0], "hi": [float("inf")]}), {}),
+    "constants-uniform-span-overflow": (constants_on(
+        {"kind": "uniform-box", "lo": [-1e308], "hi": [1e308]}), {}),
+    "constants-gaussian-mean-inf": (constants_on(
+        {"kind": "gaussian-isotropic", "mean": [float("inf")], "sigma": 1.0}), {}),
+    "constants-gaussian-sigma-inf": (constants_on(
+        {"kind": "gaussian-isotropic", "mean": [0.0], "sigma": float("inf")}), {}),
+    "constants-grid-weight-inf": (constants_on({"kind": "piecewise-constant-grid", "lo": [0.0],
+                                                "hi": [1.0], "weights": [1.0, float("inf")]}), {}),
+    "constants-uniform-volume-zero": (constants_on(
+        {"kind": "uniform-box", "lo": [0.0] * 10, "hi": [1e-40] * 10}), {}),
+    "config-uniform-hi-inf": (RUN, {"density": {"kind": "uniform-box", "lo": [0.0],
+                                                "hi": [float("inf")]}}),
+    "config-gaussian-sigma-inf": (RUN, {"density": {"kind": "gaussian-isotropic", "mean": [0.0],
+                                                    "sigma": float("inf")}}),
+    "build-r-inf": (["build", "--n", "5", "--r", "1e999", "--kmax", "1", "--out", "out"], {}),
+    "regime-overflow": (["regime", "--n", "1e300", "--d", "3", "--r", "1e200", "--k", "1"], {}),
 }
 
 
@@ -304,6 +348,17 @@ def test_malformed_input_exits_one_with_one_error_line(tmp_path, monkeypatch, ca
     assert main(argv) == 1
     assert [r.levelno for r in caplog.records if r.levelno >= logging.WARNING] == [logging.ERROR]
     assert set(tmp_path.iterdir()) == before
+
+
+def test_an_allocation_the_machine_refuses_exits_two(tmp_path, monkeypatch, caplog):
+    def refuse(*args):
+        raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+    monkeypatch.setattr("softplex.cli.sample_binomial", refuse)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sample", "--n", "1e15", "--out", "out.csv"]) == 2
+    assert [r.levelno for r in caplog.records if r.levelno >= logging.WARNING] == [logging.ERROR]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_json_flags_take_an_inline_object_or_a_path(tmp_path):
@@ -339,5 +394,5 @@ def test_console_entry_point_runs():
         capture_output=True, text=True,
     )
     assert proc.returncode == 0
-    payload = json.loads(proc.stdout)
+    payload = strict_json(proc.stdout)
     assert payload["mode"] == "chi"

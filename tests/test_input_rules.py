@@ -1,29 +1,41 @@
-"""The count rule and the retention rule, at every library entry point that takes them.
+"""The count, real, box and retention rules, at every library entry point that takes them.
 
 A count (points, face dimensions, replications, samples, seeds) is an
 integer-valued number: 1e3 and 2.0 pass as ints, and bools, fractions,
 infinities and NaN are refused with a SoftplexError, never truncated and
-never left to fail later as a TypeError, ValueError or OverflowError.  A
-retention vector is long enough and lies in [0, 1] wherever it is taken, and
-a NaN radius is not read as r = 0.
+never left to fail later as a TypeError, ValueError or OverflowError.  Any
+other number (a radius, an intensity, an exponent, a cap, a density
+parameter) is a finite int or float; a bool, a string, NaN, an infinity or an
+int beyond the float range is refused, as is an exponent rule whose radius
+or retention probability rounds to 0 or overflows.  A density's parameters
+and its sup norm are finite, while a region's bounds may be infinite.  A
+retention vector holds numbers, is long enough and lies in [0, 1] wherever it
+is taken.  Results that overflow a float are refused with the quantity named.
 """
 
 import json
 import math
+import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from softplex import (
     ConfigurationError,
     ConstantEstimate,
     ExperimentConfig,
+    GaussianIsotropic,
     InputError,
+    PiecewiseConstantGrid,
+    RegionSpec,
     SoftplexError,
     UniformBox,
     build_complex,
     build_graph,
     config_from_dict,
     estimate_mu,
+    face_counts,
+    normalize,
     predicted_moments,
     regime_check,
     retention_exponent,
@@ -31,7 +43,7 @@ from softplex import (
     sample_binomial,
     sample_poisson,
 )
-from softplex.errors import count
+from softplex.errors import count, real
 
 UNIT_1D = UniformBox(lo=[0.0], hi=[1.0])
 MU1 = ConstantEstimate(value=1.0, stderr=0.0, samples=1, kind="mu", k=1)
@@ -39,6 +51,7 @@ CONFIG = {
     "model": "rips", "process": "binomial", "n": 300, "d": 1, "k_max": 2,
     "replications": 4, "master_seed": 5, "statistic": {"kind": "fk", "k": 1}, "r": 0.003,
 }
+EXPONENT_RULE = {key: value for key, value in CONFIG.items() if key != "r"}
 
 
 def graph():
@@ -97,6 +110,32 @@ REFUSED = {
     "config-rho-entry-string": lambda: config_from_dict({**CONFIG, "rho": ["0.5", 1.0]}),
     "config-rho_exponents-entry-bool": lambda: config_from_dict(
         {**CONFIG, "rho_exponents": [True, 0.5]}),
+    "config-r-null": lambda: config_from_dict({**EXPONENT_RULE, "r": None, "r_exponent": 1.1}),
+    # each row below ran, or failed outside SoftplexError, before the real and box rules
+    "config-r-inf": lambda: config_from_dict({**CONFIG, "r": math.inf}),
+    "config-max_predicted_faces-nan": lambda: config_from_dict(
+        {**CONFIG, "max_predicted_faces": math.nan}),
+    "config-r_exponent-radius-zero": lambda: config_from_dict(
+        {**EXPONENT_RULE, "r_exponent": 1e308}),
+    "config-r_exponent-radius-overflow": lambda: config_from_dict(
+        {**EXPONENT_RULE, "r_exponent": -1e308}),
+    "experiment-r_exponent-radius-overflow": lambda: experiment(r=None, r_exponent=-1e308),
+    "experiment-rho_exponents-overflow": lambda: experiment(rho_exponents=(-1e308, 0.0)),
+    "uniform-box-hi-inf": lambda: UniformBox(lo=[0.0], hi=[math.inf]),
+    "uniform-box-volume-overflow": lambda: UniformBox(lo=[-1e308], hi=[1e308]),
+    "uniform-box-volume-zero": lambda: UniformBox(lo=[0.0] * 10, hi=[1e-40] * 10),
+    "gaussian-mean-inf": lambda: GaussianIsotropic(mean=[math.inf], sigma=1.0),
+    "gaussian-sigma-inf": lambda: GaussianIsotropic(mean=[0.0], sigma=math.inf),
+    "gaussian-sup-norm-overflow": lambda: GaussianIsotropic(mean=[0.0, 0.0], sigma=1e-200),
+    "gaussian-sup-norm-zero": lambda: GaussianIsotropic(mean=[0.0, 0.0], sigma=1e200),
+    "grid-weight-inf": lambda: PiecewiseConstantGrid(lo=[0.0], hi=[1.0], weights=[1.0, math.inf]),
+    "build-graph-r-inf": lambda: build_graph(sample_binomial(5, UNIT_1D, 0), math.inf),
+    "build-rho-bool": lambda: build_complex(graph(), 1, rho=(True,)),
+    "build-rho-numeric-string": lambda: build_complex(graph(), 1, rho=("0.5",)),
+    "regime-overflow": lambda: regime_check(1e300, 1e200, 3, (1.0, 1.0), ("fk", 1)),
+    "predicted-overflow": lambda: predicted_moments(1e300, 1e200, 3, (1.0,), k=1,
+                                                    constants=[MU1]),
+    "normalize-predicted-mean-nan": lambda: normalize([1.0, 2.0], "predicted", math.nan, 1.0),
 }
 
 
@@ -115,6 +154,34 @@ def test_count_rule():
             count(value, "n")
     with pytest.raises(ConfigurationError, match="n must be >= 1"):
         count(0, "n", 1, ConfigurationError)
+
+
+@given(value=st.one_of(st.floats(), st.integers(-10**400, 10**400), st.booleans(),
+                       st.text(max_size=3), st.none()),
+       least=st.sampled_from([None, 0, 1, -2.5]))
+def test_real_returns_the_float_or_raises_the_callers_class(value, least):
+    class Refused(Exception):
+        pass
+
+    accepted = type(value) in (int, float) and abs(value) <= sys.float_info.max and (
+        least is None or (value > 0 if least == 0 else value >= least))
+    try:
+        result = real(value, "x", least, Refused)
+    except Refused:
+        assert not accepted
+    else:
+        assert accepted and type(result) is float and result == float(value)
+
+
+def test_half_space_regions_count_as_their_bounded_boxes():
+    square = UniformBox(lo=[0.0, 0.0], hi=[1.0, 1.0])
+    regions = [RegionSpec("box", (0.5, 0.5), hi) for hi in ((math.inf, math.inf), (1.0, 1.0))]
+    complex_ = build_complex(build_graph(sample_binomial(300, square, 2), 0.1), 2)
+    half, quarter = (face_counts(complex_, region).f for region in regions)
+    assert half == quarter and half[2] > 0
+    half, quarter = (estimate_mu(2, 2, square, region, samples=20_000, seed=3).to_json()
+                     for region in regions)
+    assert half["value"] == quarter["value"] > 0 and half["stderr"] == quarter["stderr"]
 
 
 def canonical(payload) -> str:
