@@ -5,13 +5,18 @@ dimension k are the (k+1)-cliques), and its ball-intersection variant whose
 k-faces are (k+1)-tuples with smallest enclosing ball radius at most r/2.
 One builder, `build_complex`, makes both flavours dimension by dimension: a
 (k+1)-tuple is a candidate iff its two parent k-tuples sharing a
-(k-1)-prefix are faces and the closing edge exists, and the ball flavour
-keeps the candidates whose enclosing ball passes.  A ball face's subfaces
+(k-1)-prefix are faces and the closing edge exists.  A ball face's subfaces
 are ball faces, because the radius can only shrink on a subset, so joining
-from the ball k-faces misses none.  In a lex-sorted table the prefix groups
-are contiguous and sorted and the last vertices increase inside a group, so
-the join emits its rows in lex order without a sort; every face table here
-is lex-sorted.
+from the ball k-faces misses none.  The ball flavour keeps a candidate only
+when all its facets are faces, and in R^d, at dimensions 2..d, only when its
+enclosing ball passes too.  Above dimension d it needs no geometry: by
+Helly's theorem, balls in R^d share a point iff every d + 1 of them do, so a
+tuple of more than d + 1 points is a ball face iff all its facets are.  The
+facet check also keeps the ball complex downward closed where the
+enclosing-ball kernel rounds a tuple and one of its facets to opposite sides
+of r/2.  In a lex-sorted table the prefix groups are contiguous and sorted
+and the last vertices increase inside a group, so the join emits its rows in
+lex order without a sort; every face table here is lex-sorted.
 
 Faces are looked up by int64 row codes.  A k-face's code is (row index of
 its first k vertices among the (k-1)-faces) * n + its last vertex, and a
@@ -22,14 +27,15 @@ mixed-radix code n^(k+1) would overflow int64 at n = 250k and k = 3.  The
 join's subface check and the eligibility tests of `soft_thin` and
 `downward_closed` all use this lookup.
 
-The ball-intersection filter and the ball-flavor constants share one batched
-kernel, `_min_ball_radii`, for the smallest-enclosing-ball radius of a
-(count, m, d) block of tuples.  It enumerates the support subsets of 2 to
-min(m, d + 1) points, solves each subset's circumcentre in its affine hull
-(midpoint for pairs, Cramer's rule for three points, a batched linear solve
-beyond), and keeps per tuple the smallest ball centred at a candidate that
-holds all m points.  Triples use a closed form.  The scalar recursive Welzl
-solver, `min_enclosing_ball`, stays as public API and as the tests' oracle.
+The ball-intersection filter (dimensions 2..d) and the ball-flavor constants
+share one batched kernel, `_min_ball_radii`, for the smallest-enclosing-ball
+radius of a (count, m, d) block of tuples.  It enumerates the support
+subsets of 2 to min(m, d + 1) points, solves each subset's circumcentre in
+its affine hull (midpoint for pairs, Cramer's rule for three points, a
+batched linear solve beyond), and keeps per tuple the smallest ball centred
+at a candidate that holds all m points.  Triples use a closed form.  The
+scalar recursive Welzl solver, `min_enclosing_ball`, stays as public API and
+as the tests' oracle.
 
 Soft thinning is downward closed: each admissible 1-face survives an
 independent p_1 coin; for k >= 2 a face is eligible only when every
@@ -142,13 +148,13 @@ def _clique_join(prev_faces: np.ndarray, codes: list, n: int, complete: bool):
     between their last vertices is in ``codes[1]``.  Unless ``complete``, the
     candidate must also find its other t subfaces among the t-faces.
     ``complete`` says a missing subface dooms the candidate anyway: the
-    t-faces are every (t+1)-clique of those edges that passes the caller's
-    filter, and the filter rejects every tuple with a rejected subset.  With
-    no filter (Rips) they are every (t+1)-clique; the Cech ball filter
-    qualifies because the enclosing-ball radius can only shrink on a subset.
-    Only a coin that removes a face of dimension >= 2 breaks it.  Prefix
-    groups are contiguous and sorted and last vertices increase inside a
-    group, so pair order is lex order and the rows come out lex-sorted.
+    t-faces are every (t+1)-clique of those edges, as they are for Rips until
+    a coin removes a face of dimension >= 2.  The ball flavour is never
+    complete from dimension 3 on: above dimension d the subface lookup is its
+    whole test, by Helly's theorem, and up to d it keeps out a tuple whose
+    facet the enclosing-ball kernel rounded the other way.  Prefix groups are
+    contiguous and sorted and last vertices increase inside a group, so pair
+    order is lex order and the rows come out lex-sorted.
     """
     m, width = prev_faces.shape
     if m < 2:
@@ -173,11 +179,12 @@ def build_complex(graph: GeometricGraph, k_max: int, flavor: str = "rips", rho=N
     """Clique or ball-intersection complex up to dimension k_max, thinned as it is built.
 
     Dimension k + 1 is joined from the k-faces.  For ``flavor == "cech"`` a
-    joined tuple of dimension >= 2 is kept only when its smallest enclosing
-    ball has radius at most r/2; an edge's ball radius is half its length, so
-    dimension 1 needs no filter.  With a retention vector ``rho`` (one
-    probability per dimension 1..k_max), a k-face then survives when all its
-    (k-1)-subfaces survived and its coin,
+    joined tuple is kept only when all its facets are faces and, at
+    dimensions 2..d in R^d, its smallest enclosing ball has radius at most
+    r/2; an edge's ball radius is half its length, so dimension 1 needs no
+    filter, and above d the facets decide alone (Helly's theorem).  With a
+    retention vector ``rho`` (one probability per dimension 1..k_max), a
+    k-face then survives when all its (k-1)-subfaces survived and its coin,
     ``uniform_coins(derive_seed(seed, FACE_COIN_STREAM, k), faces)``, is below
     ``rho[k-1]``.  The result equals ``soft_thin(hard, rho, seed)`` row for
     row, where ``hard`` is the complex built without ``rho``.
@@ -187,7 +194,7 @@ def build_complex(graph: GeometricGraph, k_max: int, flavor: str = "rips", rho=N
     k_max = count(k_max, "k_max")
     if rho is not None:
         rho = _retention(rho, k_max)
-    n = graph.vertex_count
+    n, d = graph.vertex_count, graph.cloud.dimension
     faces = [np.arange(n, dtype=np.int64)[:, None]]
     codes = [None]  # a vertex is its own rank
     complete = True  # no coin has removed a face of dimension >= 2
@@ -195,10 +202,15 @@ def build_complex(graph: GeometricGraph, k_max: int, flavor: str = "rips", rho=N
         if dim == 1:
             rows, prefix = graph.edges, graph.edges[:, 0]
         else:
-            rows, prefix = _clique_join(faces[-1], codes, n, complete)
-            if flavor == "cech":
-                ball = _min_ball_radii(graph.cloud.points[rows]) <= graph.r / 2.0
-                rows, prefix = rows[ball], prefix[ball]
+            # a ball face needs every facet: above d that is the whole test
+            # (Helly), and up to d the kernel may round a tuple and a facet
+            # to opposite sides of r/2.  At dimension 2 the one facet that is
+            # not a parent is the closing edge, which the join checks anyway.
+            rows, prefix = _clique_join(faces[-1], codes, n,
+                                        complete and (flavor == "rips" or dim == 2))
+            if flavor == "cech" and dim <= d:
+                keep = _min_ball_radii(graph.cloud.points[rows]) <= graph.r / 2.0
+                rows, prefix = rows[keep], prefix[keep]
         if rho is not None and rho[dim - 1] < 1.0 and rows.shape[0]:
             keep = uniform_coins(derive_seed(seed, FACE_COIN_STREAM, dim), rows) < rho[dim - 1]
             if dim >= 2 and not keep.all():

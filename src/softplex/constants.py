@@ -245,6 +245,7 @@ def _estimate(kind: str, k: int, l: int | None, j: int | None, d: int, density: 
     if region.kind != "all":
         inside = density.power_integral(m, region.lo, region.hi)
         outer = inside if region.kind == "box" else outer - inside
+    outer = real(outer, f"the density factor (integral of f^{m + 1})")
     inner = (1.0, 0.0)
     if m:
         first = tuple(range(k + 1))
@@ -436,6 +437,9 @@ def regime_check(n: float, r: float, d: int, rho, mode: tuple[str, int],
     level = count(level, f"{kind} mode level")
     d = count(d, "d", 1)
     n, r = real(n, "n", 0), real(r, "r")  # r < 0 fails in _log_or_zero
+    sparse_threshold = real(sparse_threshold, "sparse threshold")
+    growth_threshold = real(growth_threshold, "growth threshold")
+    vanish_threshold = real(vanish_threshold, "vanish threshold")
     rho = _retention(rho, level + 1 if kind == "chi" else level)
     nrd = _exp(math.log(n) + d * _log_or_zero(r), "n r^d")
     quantities = {"nr^d": nrd}

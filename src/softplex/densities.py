@@ -28,7 +28,11 @@ class Density:
         raise NotImplementedError
 
     def power_integral(self, power: float, lo=-np.inf, hi=np.inf) -> float:
-        """The integral of f^(power+1) over the box [lo, hi]; the defaults give all of R^d."""
+        """The integral of f^(power+1) over the box [lo, hi]; the defaults give all of R^d.
+
+        A value beyond the float range comes back as inf or NaN, without a
+        warning; the caller decides whether it can use it.
+        """
         raise NotImplementedError
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -98,7 +102,8 @@ class UniformBox(Density):
     def power_integral(self, power, lo=-np.inf, hi=np.inf) -> float:
         """The box's share of the support times V^-power: exactly 1.0 for the unit box."""
         share = _overlaps(self.lo, self.hi, *_box(lo, hi, self.dimension)) / (self.hi - self.lo)
-        return float(np.prod(share) * self.volume ** -power)
+        with np.errstate(over="ignore"):
+            return float(np.prod(share) * np.float64(self.volume) ** -power)
 
     def sample(self, rng, count: int) -> np.ndarray:
         return self.lo + (self.hi - self.lo) * rng.random((count, self.dimension))
@@ -135,7 +140,9 @@ class GaussianIsotropic(Density):
         N(mean, sigma^2 / (p + 1))."""
         d = self.dimension
         lo, hi = ((b - self.mean) * math.sqrt(power + 1.0) / self.sigma for b in _box(lo, hi, d))
-        return float(self.sup_norm**power * np.prod(ndtr(hi) - ndtr(lo)) / (power + 1.0) ** (d / 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.float64(self.sup_norm) ** power * np.prod(ndtr(hi) - ndtr(lo))
+                         / np.float64(power + 1.0) ** (d / 2))
 
     def sample(self, rng, count: int) -> np.ndarray:
         d = self.dimension
@@ -198,7 +205,8 @@ class PiecewiseConstantGrid(Density):
         lo, hi = _box(lo, hi, self.dimension)
         edges = [np.linspace(a, b, cells + 1) for a, b, cells in zip(self.lo, self.hi, self.shape)]
         overlaps = [_overlaps(e[:-1], e[1:], a, b) for e, a, b in zip(edges, lo, hi)]
-        return float(np.sum(math.prod(np.ix_(*overlaps)) * self.density ** (power + 1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(np.sum(math.prod(np.ix_(*overlaps)) * self.density ** (power + 1)))
 
     def sample(self, rng, count: int) -> np.ndarray:
         probs = self.density.ravel() * self.cell_volume

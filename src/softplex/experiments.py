@@ -22,7 +22,6 @@ import numpy as np
 from scipy.special import ndtr
 
 from .complexes import _retention, build_complex, euler_characteristic, face_counts
-from .constants import unit_ball_volume
 from .densities import Density, UniformBox, density_from_config
 from .errors import (ConfigurationError, DegenerateSampleError, InputError, MemoryGuardError,
                      count, real)
@@ -183,13 +182,13 @@ def predicted_face_bound(config: ExperimentConfig) -> float:
     """Crude upper bound on the expected total face count, for the memory guard.
 
     E[#(k+1)-cliques] <= n^{k+1} (theta_d r^d ||f||_inf)^k / (k+1)! with
-    theta_d the unit-ball volume; evaluated in log space.
+    theta_d = pi^{d/2} / Gamma(d/2 + 1) the unit-ball volume; evaluated in log
+    space, where theta_d stays defined at any d.
     """
     n = config.n + 6.0 * math.sqrt(config.n) if config.process == "poisson" else config.n
-    r = config.radius
-    log_unit = math.log(unit_ball_volume(config.d)) + config.d * math.log(r) + math.log(
-        config.density.sup_norm
-    )
+    d = config.d
+    log_theta = d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
+    log_unit = log_theta + d * math.log(config.radius) + math.log(config.density.sup_norm)
     total = 0.0
     for k in range(config.k_max + 1):
         log_term = (k + 1) * math.log(n) + k * log_unit - math.lgamma(k + 2)

@@ -350,6 +350,34 @@ def test_malformed_input_exits_one_with_one_error_line(tmp_path, monkeypatch, ca
     assert set(tmp_path.iterdir()) == before
 
 
+TINY_SQUARE = {"lo": [0.0, 0.0], "hi": [1e-50, 1e-50]}
+REGIME = ["regime", "--n", "100", "--d", "1", "--r", "0.1", "--k", "1"]
+
+
+@pytest.mark.parametrize("argv,named", [
+    # the density is valid, but f^5 integrates beyond the float range
+    (["constants", "--kind", "mu", "--k", "4", "--d", "2", "--samples", "100",
+      "--out", "out.json", "--density", json.dumps({"kind": "uniform-box", **TINY_SQUARE})],
+     "density factor"),
+    (["constants", "--kind", "mu", "--k", "4", "--d", "2", "--samples", "100",
+      "--out", "out.json", "--density",
+      '{"kind": "gaussian-isotropic", "mean": [0.0, 0.0], "sigma": 1e-50}'], "density factor"),
+    (["constants", "--kind", "mu", "--k", "4", "--d", "2", "--samples", "100",
+      "--out", "out.json", "--density",
+      json.dumps({"kind": "piecewise-constant-grid", **TINY_SQUARE, "weights": [[1.0, 2.0]]})],
+     "density factor"),
+    ([*REGIME, "--sparse-threshold", "nan"], "sparse threshold"),
+    ([*REGIME, "--growth-threshold", "inf"], "growth threshold"),
+    ([*REGIME, "--mode", "chi", "--vanish-threshold", "nan"], "vanish threshold"),
+])
+def test_out_of_range_quantity_exits_one_naming_it(tmp_path, monkeypatch, caplog, argv, named):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 1
+    errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(errors) == 1 and named in errors[0]
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_an_allocation_the_machine_refuses_exits_two(tmp_path, monkeypatch, caplog):
     def refuse(*args):
         raise MemoryError("Unable to allocate 7.11 PiB for an array")

@@ -224,6 +224,54 @@ def test_cech_bruteforce_cross_check_d2():
             assert cech.faces_by_dim[dim].tolist() == [list(c) for c in expected]
 
 
+# Four points whose enclosing ball is one facet's ball, taken at r = 2 * that
+# radius: the triple closed form puts the facet just above r/2 while the
+# 4-point kernel puts the whole tuple at r/2.  In the plane dimension 3 lies
+# above d, where Helly's theorem lets the facets decide; in space it is d
+# itself, where the facet check keeps the tuple out.
+TIE_TUPLES = {
+    "d2-facet-023": ([[0.12269066017607344, 0.9337689099568427],
+                      [0.684050448075033, 0.8237813583927717],
+                      [0.8968012322637599, 0.5833200469234759],
+                      [0.0402182209046007, 0.711486824117758]],
+                     [[0, 1, 2], [0, 1, 3], [1, 2, 3]]),
+    "d3-facet-123": ([[0.5131412133818497, 0.6110032528946646, 0.5313968947954465],
+                      [0.7585337396231457, 0.7057083392270682, 0.8850456138709182],
+                      [0.7562078404723139, 0.9219899000274794, 0.414807003582114],
+                      [0.03416098666515466, 0.1810034150072165, 0.28778228138605877]],
+                     [[0, 1, 2], [0, 1, 3], [0, 2, 3]]),
+}
+
+
+@pytest.mark.parametrize("points,triangles", TIE_TUPLES.values(), ids=TIE_TUPLES.keys())
+def test_cech_tie_keeps_no_face_without_its_facets(points, triangles):
+    cloud = cloud_from(points)
+    r = 2.0 * _min_ball_radii(cloud.points[None])[0]
+    cech = build_cech(cloud, r, 3)
+    assert cech.faces_by_dim[2].tolist() == triangles
+    assert cech.face_vector() == (4, 6, 3, 0)
+    assert downward_closed(cech)
+
+
+def cech_by_ball_filter(cloud, r, k_max):
+    """The Rips tables, each row kept when its own enclosing ball has radius <= r/2."""
+    rips = build_rips(build_graph(cloud, r), k_max)
+    return [rows if dim < 2 else rows[_min_ball_radii(cloud.points[rows]) <= r / 2.0]
+            for dim, rows in enumerate(rips.faces_by_dim)]
+
+
+@pytest.mark.parametrize("d,n,r,k_max", [(2, 3000, 0.02, 3), (3, 3000, 0.08, 4)])
+def test_cech_equals_ball_filtered_rips_at_bench_scale(d, n, r, k_max):
+    # away from ties, faces above dimension d found from their facets (Helly)
+    # are exactly the cliques whose own ball passes
+    cloud = sample_binomial(n, UniformBox(lo=[0.0] * d, hi=[1.0] * d), seed=20 + d)
+    cech = build_cech(cloud, r, k_max)
+    expected = cech_by_ball_filter(cloud, r, k_max)
+    assert all(rows.shape[0] for rows in expected[d + 1:])  # the Helly path has work to do
+    for built, rows in zip(cech.faces_by_dim, expected, strict=True):
+        assert np.array_equal(built, rows)
+
+
 def test_soft_thin_all_ones_is_identity():
     cloud = sample_binomial(60, UNIT_2D, seed=10)
     cx = build_rips(build_graph(cloud, 0.25), 3)
@@ -327,10 +375,16 @@ def thinning_cases(draw):
 
 
 def cech_by_definition(cloud, r, k_max):
-    """Every subset tested directly: pairwise within r, enclosing ball within r/2."""
+    """Every subset tested directly: pairwise within r, and the tuple and every
+    sub-tuple with enclosing ball within r/2, so the result is a complex at ties."""
     rips = rips_bruteforce(cloud, r, k_max)
-    faces = [rows if dim < 2 else rows[_min_ball_radii(cloud.points[rows]) <= r / 2.0]
-             for dim, rows in enumerate(rips.faces_by_dim)]
+    faces = list(rips.faces_by_dim[:2])
+    for rows in rips.faces_by_dim[2:]:
+        lower = set(map(tuple, faces[-1].tolist()))
+        facets = [all(sub in lower for sub in itertools.combinations(row, len(row) - 1))
+                  for row in rows.tolist()]
+        ball = _min_ball_radii(cloud.points[rows]) <= r / 2.0
+        faces.append(rows[ball & np.array(facets, dtype=bool).reshape(-1)])
     return replace(rips, faces_by_dim=tuple(faces), flavor="cech")
 
 

@@ -33,7 +33,7 @@ from softplex import (
     statistic_samples,
     variance_ratio_report,
 )
-from softplex.experiments import replicate_once
+from softplex.experiments import predicted_face_bound, replicate_once
 from softplex.rng import REPLICATION_STREAM, derive_seed
 
 
@@ -154,6 +154,18 @@ def test_memory_guard_refuses_dense_configs():
     config = small_config(n=50_000, r=0.5, k_max=4, replications=2)
     with pytest.raises(MemoryGuardError):
         run_experiment(config)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 341, 342, 400, 2000])
+def test_memory_guard_defined_in_every_dimension(d):
+    # Gamma(d/2 + 1) overflows a float from d = 342 on; the guard works in log space
+    config = small_config(n=5, d=d, r=0.5, k_max=2, replications=2)
+    # the expected cliques of a ball of volume theta_d 0.5^d, far below 1 for large d
+    unit = math.pi ** (d / 2) / math.gamma(d / 2 + 1) * 0.5**d if d <= 3 else 0.0
+    assert predicted_face_bound(config) == pytest.approx(5 + 25 * unit / 2 + 125 * unit**2 / 6,
+                                                         rel=1e-12)
+    rows = run_experiment(config)
+    assert [res.f[0] for res in rows] == [5, 5]
 
 
 def test_normalize_examples():

@@ -136,6 +136,19 @@ REFUSED = {
     "predicted-overflow": lambda: predicted_moments(1e300, 1e200, 3, (1.0,), k=1,
                                                     constants=[MU1]),
     "normalize-predicted-mean-nan": lambda: normalize([1.0, 2.0], "predicted", math.nan, 1.0),
+    "regime-sparse-threshold-nan": lambda: regime_check(100, 0.1, 1, (1.0,), ("fk", 1),
+                                                        sparse_threshold=math.nan),
+    "regime-growth-threshold-inf": lambda: regime_check(100, 0.1, 1, (1.0,), ("fk", 1),
+                                                        growth_threshold=math.inf),
+    "regime-vanish-threshold-string": lambda: regime_check(100, 0.1, 1, (1.0, 1.0), ("chi", 1),
+                                                           vanish_threshold="0.1"),
+    "constants-uniform-density-factor-overflow": lambda: estimate_mu(
+        4, 2, UniformBox(lo=[0.0, 0.0], hi=[1e-50, 1e-50]), samples=100),
+    "constants-gaussian-density-factor-overflow": lambda: estimate_mu(
+        4, 2, GaussianIsotropic(mean=[0.0, 0.0], sigma=1e-50), samples=100),
+    "constants-grid-density-factor-overflow": lambda: estimate_mu(
+        4, 2, PiecewiseConstantGrid(lo=[0.0, 0.0], hi=[1e-50, 1e-50], weights=[[1.0, 2.0]]),
+        samples=100),
 }
 
 
