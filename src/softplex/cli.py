@@ -10,6 +10,8 @@ file path.  Every artifact embeds the fully-resolved configuration, and
 reruns with the same config and seed are byte-identical regardless of the
 worker count; no artifact holds NaN or an infinity.  Malformed input logs one
 ERROR line and exits 1; a refused allocation, predicted or real, exits 2.
+The report's normal quantiles import scipy where they are taken, so the other
+subcommands start without it.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import sys
 from itertools import chain
 
 import numpy as np
-from scipy.special import ndtri
 
 from .complexes import build_complex
 from .constants import _estimate, regime_check
@@ -205,6 +206,8 @@ def _cmd_experiment_run(args) -> int:
 
 
 def _cmd_experiment_report(args) -> int:
+    from scipy.special import ndtri
+
     config = _resolved_config(args)
     results = _read_results_csv(args.results, _results_header(config.k_max))
     report = clt_report(results, config)

@@ -104,7 +104,11 @@ def retention_exponent(k: int, l: int, j: int, i: int) -> int:
 
 
 def unit_ball_volume(d: int) -> float:
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    """pi^(d/2) / Gamma(d/2 + 1); in log space from d = 342 on, where Gamma overflows."""
+    try:
+        return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
+    except OverflowError:
+        return math.exp(d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0))
 
 
 def _shard_sizes(samples: int, shard: int) -> list[int]:

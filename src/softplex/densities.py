@@ -5,7 +5,8 @@ box, an isotropic Gaussian, and a piecewise-constant density on a regular
 grid over a box.  Each one normalizes to 1, evaluates pointwise, exposes its
 sup norm, samples i.i.d. draws from a supplied generator, and gives the
 integral of f^(p+1) over an axis-aligned box in closed form: the density
-factor of the limit constants.
+factor of the limit constants.  The Gaussian's box mass imports scipy's
+normal CDF where it is taken, so the other families never load scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ConfigurationError, InputError, box, real
 from .rng import standard_normals
@@ -138,6 +138,8 @@ class GaussianIsotropic(Density):
     def power_integral(self, power, lo=-np.inf, hi=np.inf) -> float:
         """sup_norm^p (p + 1)^(-d/2), p = power, times the box's mass under
         N(mean, sigma^2 / (p + 1))."""
+        from scipy.special import ndtr
+
         d = self.dimension
         lo, hi = ((b - self.mean) * math.sqrt(power + 1.0) / self.sigma for b in _box(lo, hi, d))
         with np.errstate(over="ignore", invalid="ignore"):

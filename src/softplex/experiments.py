@@ -8,7 +8,8 @@ hash(master_seed, index), so the results are bit-identical for any worker
 count.  On top of the replication table sit the normality diagnostics:
 z-score normalization (empirical or predicted), the Kolmogorov-Smirnov
 distance to the standard normal, sample moments, and the variance-ratio
-comparisons against the vertex count.
+comparisons against the vertex count.  The KS distance imports scipy's
+normal CDF where it is taken, so a run that only replicates never loads scipy.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
-from scipy.special import ndtr
 
+from . import errors
 from .complexes import _retention, build_complex, euler_characteristic, face_counts
 from .densities import Density, UniformBox, density_from_config
 from .errors import (ConfigurationError, DegenerateSampleError, InputError, MemoryGuardError,
@@ -257,9 +258,13 @@ def normalize(samples, mode: str = "empirical", mean: float | None = None,
 
 def ks_statistic(z) -> float:
     """Sup distance between the empirical CDF of z and the standard normal CDF."""
+    from scipy.special import ndtr
+
     z = np.sort(np.asarray(z, dtype=np.float64))
     if z.size == 0:
         raise InputError("KS statistic of an empty sample is undefined")
+    if np.isnan(z).any():
+        raise InputError("KS statistic of a sample holding NaN is undefined")
     count = z.size
     cdf = ndtr(z)
     upper = np.arange(1, count + 1) / count - cdf
@@ -272,7 +277,7 @@ def kolmogorov_threshold(count: int, level: float = 0.01) -> float:
     critical = {0.10: 1.22, 0.05: 1.36, 0.01: 1.63}.get(level)
     if critical is None:
         raise InputError(f"no tabulated critical value for level {level}")
-    return critical / math.sqrt(count)
+    return critical / math.sqrt(errors.count(count, "sample count", 1))
 
 
 def moment_diagnostics(z) -> dict:

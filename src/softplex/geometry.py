@@ -8,7 +8,8 @@ k only while its pair at offset k - 1 was within r.  In d >= 2 one
 1975).  Either way the sparse regime costs O(n log n + output) on average.
 Every path returns its edges sorted by the int64 code lo * n + hi.  A
 quadratic reference implementation is kept alongside as the correctness
-oracle.
+oracle.  scipy is imported inside the two calls that use it, so a d = 1 run
+never loads it.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import ConfigurationError, InputError, box, real
 from .point_process import PointCloud
@@ -61,6 +60,8 @@ def _sort_pairs(ii: np.ndarray, jj: np.ndarray, n: int) -> np.ndarray:
 
 def threshold_pairs_bruteforce(points: np.ndarray, r: float) -> np.ndarray:
     """All pairs at distance <= r by full pairwise comparison (oracle)."""
+    from scipy.spatial.distance import cdist
+
     n = points.shape[0]
     if n < 2:
         return _NO_EDGES.copy()
@@ -111,6 +112,8 @@ def threshold_pairs(points: np.ndarray, r: float) -> np.ndarray:
         return _NO_EDGES.copy()
     if d == 1:
         return _threshold_pairs_sweep(points[:, 0], r)
+    from scipy.spatial import cKDTree
+
     pairs = cKDTree(points).query_pairs(r, output_type="ndarray")
     return _sort_pairs(pairs[:, 0], pairs[:, 1], n)
 

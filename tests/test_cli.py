@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -104,6 +105,17 @@ def test_constants_subcommand_writes_json(tmp_path):
     assert payload["value"] == pytest.approx(1.0)
     assert payload["samples"] == 10_000
     assert payload["params"]["kind"] == "mu"
+
+
+def test_constants_past_the_gamma_overflow(tmp_path):
+    # d = 400 used to end in an OverflowError from Gamma(201)
+    out = tmp_path / "mu.json"
+    assert main(["constants", "--kind", "mu", "--k", "1", "--d", "400",
+                 "--samples", "10", "--out", str(out)]) == 0
+    payload = strict_json(out.read_text())
+    log_volume = 200.0 * math.log(math.pi) - math.lgamma(201.0)
+    assert payload["value"] == pytest.approx(0.5 * math.exp(log_volume), rel=1e-12)
+    assert payload["stderr"] == 0.0
 
 
 def test_constants_pair_requires_l_and_j(tmp_path):

@@ -341,6 +341,10 @@ def test_unit_ball_volumes():
     assert unit_ball_volume(1) == pytest.approx(2.0)
     assert unit_ball_volume(2) == pytest.approx(math.pi)
     assert unit_ball_volume(3) == pytest.approx(4.0 * math.pi / 3.0)
+    # Gamma(d/2 + 1) overflows from d = 342 on, and pi^(d/2) from d = 1241
+    for d in (341, 342, 400, 1300):
+        log_volume = d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
+        assert unit_ball_volume(d) == pytest.approx(math.exp(log_volume), rel=1e-12)
 
 
 def test_estimates_independent_of_worker_count():

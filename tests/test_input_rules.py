@@ -35,6 +35,8 @@ from softplex import (
     config_from_dict,
     estimate_mu,
     face_counts,
+    kolmogorov_threshold,
+    ks_statistic,
     normalize,
     predicted_moments,
     regime_check,
@@ -136,6 +138,10 @@ REFUSED = {
     "predicted-overflow": lambda: predicted_moments(1e300, 1e200, 3, (1.0,), k=1,
                                                     constants=[MU1]),
     "normalize-predicted-mean-nan": lambda: normalize([1.0, 2.0], "predicted", math.nan, 1.0),
+    "ks-statistic-nan": lambda: ks_statistic([math.nan, 1.0, 2.0]),  # returned NaN
+    "kolmogorov-threshold-zero": lambda: kolmogorov_threshold(0),  # ZeroDivisionError
+    "kolmogorov-threshold-negative": lambda: kolmogorov_threshold(-1),  # math domain error
+    "kolmogorov-threshold-fraction": lambda: kolmogorov_threshold(2.5),  # returned a number
     "regime-sparse-threshold-nan": lambda: regime_check(100, 0.1, 1, (1.0,), ("fk", 1),
                                                         sparse_threshold=math.nan),
     "regime-growth-threshold-inf": lambda: regime_check(100, 0.1, 1, (1.0,), ("fk", 1),
