@@ -27,7 +27,6 @@ from .geometry import (
     GeometricGraph,
     RegionSpec,
     build_graph,
-    leftmost_point,
     region_from_config,
     threshold_pairs,
     threshold_pairs_bruteforce,

@@ -16,13 +16,15 @@ facet check also keeps the ball complex downward closed where the
 enclosing-ball kernel rounds a tuple and one of its facets to opposite sides
 of r/2.  In a lex-sorted table the prefix groups are contiguous and sorted
 and the last vertices increase inside a group, so the join emits its rows in
-lex order without a sort; every face table here is lex-sorted.
+lex order without a sort; every face table here is lex-sorted.  The join's
+pairs come from `pairs_within_groups`, built on one ragged-range primitive,
+`_ragged`, with no Python-level loop over faces.
 
 Faces are looked up by int64 row codes.  A k-face's code is (row index of
 its first k vertices among the (k-1)-faces) * n + its last vertex, and a
 vertex is its own index.  The codes of a lex-sorted table increase with the
-row, so one sorted-key lookup per vertex, `_grouping._find`, finds a tuple
-and its row, and a code stays below (number of (k-1)-faces) * n; a
+row, so one sorted-key lookup per vertex, `_find`, finds a tuple and its
+row, and a code stays below (number of (k-1)-faces) * n; a
 mixed-radix code n^(k+1) would overflow int64 at n = 250k and k = 3.  The
 join's subface check and the eligibility tests of `soft_thin` and
 `downward_closed` all use this lookup.
@@ -59,7 +61,6 @@ from itertools import combinations
 
 import numpy as np
 
-from ._grouping import _find, group_boundaries, pairs_within_groups
 from .errors import ConfigurationError, InputError, count, real
 from .geometry import GeometricGraph, RegionSpec, ALL_SPACE, build_graph, region_mask
 from .point_process import PointCloud
@@ -108,6 +109,48 @@ def _retention(rho, top: int) -> tuple:
     if any(not 0.0 <= p <= 1.0 for p in rho):
         raise ConfigurationError("retention probabilities must lie in [0, 1]")
     return rho
+
+
+def _ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group index and offset inside the group of every element of consecutive groups.
+
+    Group g holds ``sizes[g]`` elements, so both arrays have ``sizes.sum()``
+    entries and the offsets run 0 .. sizes[g] - 1 inside group g.
+    """
+    group = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
+    first = np.cumsum(sizes) - sizes
+    return group, np.arange(group.size, dtype=np.int64) - first[group]
+
+
+def pairs_within_groups(starts: np.ndarray, counts: np.ndarray):
+    """All position pairs (i, j), i < j, inside each contiguous group.
+
+    ``starts[g]`` is the first position of group g and ``counts[g]`` its
+    size; positions are returned relative to the underlying sorted array.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    group, local = _ragged(counts)
+    rights_per_left = counts[group] - local - 1
+    lefts = np.repeat(starts[group] + local, rights_per_left)
+    _, step = _ragged(rights_per_left)
+    return lefts, lefts + step + 1
+
+
+def group_boundaries(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start offsets and sizes of the equal-value runs of a sorted array."""
+    n = sorted_keys.shape[0]
+    change = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
+    starts = np.concatenate([[0], change]).astype(np.int64)
+    return starts, np.diff(np.concatenate([starts, [n]])).astype(np.int64)
+
+
+def _find(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Whether each key is in a sorted int64 table, and its insertion index."""
+    index = np.searchsorted(table, keys)
+    if table.size == 0:
+        return np.zeros(keys.shape, dtype=bool), index
+    return table.take(index, mode="clip") == keys, index
 
 
 def _locate(codes: list, planes: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +202,7 @@ def _clique_join(prev_faces: np.ndarray, codes: list, n: int, complete: bool):
     m, width = prev_faces.shape
     if m < 2:
         return _empty_faces(width), np.empty(0, dtype=np.int64)
-    starts, sizes, _ = group_boundaries(codes[width - 1] // n)
+    starts, sizes = group_boundaries(codes[width - 1] // n)
     li, ri = pairs_within_groups(starts, sizes)
     u = prev_faces[li, -1]
     v = prev_faces[ri, -1]

@@ -22,8 +22,9 @@ it is never tested; with no list left (every m = 1 constant, phi / theta
 (1, 1, 1)) the indicator factor is exactly vol(B)^m and nothing is drawn.
 
 The indicator samples fall into fixed shards, each drawn from its own
-derived stream, and one thread pool runs the shards.  A shard's tuples are
-tested in cache-sized blocks of origin-prefixed (m + 1, d, rows) coordinate
+derived stream, and one thread pool runs the shards (`_map_in_order`, which
+also runs `run_experiment`'s replications).  A shard's tuples are tested in
+cache-sized blocks of origin-prefixed (m + 1, d, rows) coordinate
 planes (`_inner_worker`); on whole-shard (size, m, d) rows each pass would
 be an inner loop of d elements over arrays of millions of doubles, bound by
 memory.  Blocks change how the work is cut, not a value: every step is
@@ -103,17 +104,32 @@ def retention_exponent(k: int, l: int, j: int, i: int) -> int:
     return _binom(k + 1, i + 1) + _binom(l + 1, i + 1) - _binom(j, i + 1)
 
 
+def _log_unit_ball_volume(d: int) -> float:
+    """log(pi^(d/2) / Gamma(d/2 + 1)), defined at any d."""
+    return d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
+
+
 def unit_ball_volume(d: int) -> float:
     """pi^(d/2) / Gamma(d/2 + 1); in log space from d = 342 on, where Gamma overflows."""
     try:
         return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
     except OverflowError:
-        return math.exp(d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0))
+        return math.exp(_log_unit_ball_volume(d))
 
 
 def _shard_sizes(samples: int, shard: int) -> list[int]:
     full, rest = divmod(samples, shard)
     return [shard] * full + ([rest] if rest else [])
+
+
+def _map_in_order(fn, items, threads: int | None) -> list:
+    """[fn(item) for item in items], in the calling thread for one item or threads <= 1,
+    else on a pool of ``threads`` workers (None: the pool's default size)."""
+    items = list(items)
+    if len(items) <= 1 or (threads is not None and threads <= 1):
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, items))
 
 
 def _sharded_sums(worker, shard: int, samples: int, threads: int | None) -> float:
@@ -122,11 +138,8 @@ def _sharded_sums(worker, shard: int, samples: int, threads: int | None) -> floa
     Each shard draws from its own derived stream and the merge is a plain
     sum in shard order, so the sum is identical for any worker count.
     """
-    tasks = list(enumerate(_shard_sizes(samples, shard)))
-    if threads is None or threads <= 1 or len(tasks) == 1:
-        return sum(worker(*task) for task in tasks)
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return sum(pool.map(lambda task: worker(*task), tasks))
+    tasks = enumerate(_shard_sizes(samples, shard))
+    return sum(_map_in_order(lambda task: worker(*task), tasks, threads))
 
 
 def _sum_of_squares(planes: np.ndarray) -> np.ndarray:

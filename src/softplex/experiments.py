@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import errors
 from .complexes import _retention, build_complex, euler_characteristic, face_counts
+from .constants import _log_unit_ball_volume, _map_in_order
 from .densities import Density, UniformBox, density_from_config
 from .errors import (ConfigurationError, DegenerateSampleError, InputError, MemoryGuardError,
                      count, real)
@@ -182,14 +182,13 @@ class ReplicationResult:
 def predicted_face_bound(config: ExperimentConfig) -> float:
     """Crude upper bound on the expected total face count, for the memory guard.
 
-    E[#(k+1)-cliques] <= n^{k+1} (theta_d r^d ||f||_inf)^k / (k+1)! with
-    theta_d = pi^{d/2} / Gamma(d/2 + 1) the unit-ball volume; evaluated in log
-    space, where theta_d stays defined at any d.
+    E[#(k+1)-cliques] <= n^{k+1} (theta_d r^d ||f||_inf)^k / (k+1)! with theta_d
+    the unit-ball volume; evaluated in log space, where it is defined at any d.
     """
     n = config.n + 6.0 * math.sqrt(config.n) if config.process == "poisson" else config.n
     d = config.d
-    log_theta = d / 2.0 * math.log(math.pi) - math.lgamma(d / 2.0 + 1.0)
-    log_unit = log_theta + d * math.log(config.radius) + math.log(config.density.sup_norm)
+    log_unit = (_log_unit_ball_volume(d) + d * math.log(config.radius)
+                + math.log(config.density.sup_norm))
     total = 0.0
     for k in range(config.k_max + 1):
         log_term = (k + 1) * math.log(n) + k * log_unit - math.lgamma(k + 2)
@@ -217,18 +216,14 @@ def replicate_once(config: ExperimentConfig, index: int) -> ReplicationResult:
 
 
 def run_experiment(config: ExperimentConfig, threads: int | None = None) -> list[ReplicationResult]:
-    """All replications in index order, parallel over a thread pool."""
+    """All replications in index order, parallel over a thread pool (`_map_in_order`)."""
     bound = predicted_face_bound(config)
     if bound > config.max_predicted_faces:
         raise MemoryGuardError(
             f"predicted face count {bound:.3g} exceeds cap {config.max_predicted_faces:.3g}; "
             "reduce n, r, or k_max, or raise max_predicted_faces"
         )
-    indices = range(config.replications)
-    if threads is not None and threads <= 1:
-        return [replicate_once(config, i) for i in indices]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda i: replicate_once(config, i), indices))
+    return _map_in_order(lambda i: replicate_once(config, i), range(config.replications), threads)
 
 
 def statistic_samples(results: list[ReplicationResult], config: ExperimentConfig) -> np.ndarray:
@@ -387,24 +382,22 @@ def depoisson_compare(config: ExperimentConfig, threads: int | None = None) -> d
 
     Both runs estimate the same asymptotic mean; the report carries each
     empirical mean, variance, and KS distance plus the mean difference in
-    units of its joint standard error.
+    units of its joint standard error; a zero difference is 0 sigmas, even
+    when neither run varies.
     """
-    reports = {}
-    samples = {}
-    for process in ("binomial", "poisson"):
+    def report(process: str) -> CltReport:
         cfg = replace(config, process=process)
-        results = run_experiment(cfg, threads=threads)
-        reports[process] = clt_report(results, cfg)
-        samples[process] = statistic_samples(results, cfg)
-    mean_diff = float(samples["binomial"].mean() - samples["poisson"].mean())
-    joint_se = math.sqrt(
-        samples["binomial"].var(ddof=1) / samples["binomial"].size
-        + samples["poisson"].var(ddof=1) / samples["poisson"].size
-    )
+        return clt_report(run_experiment(cfg, threads=threads), cfg)
+
+    binomial, poisson = report("binomial"), report("poisson")
+    mean_diff = binomial.empirical_mean - poisson.empirical_mean
+    joint_se = math.sqrt(binomial.empirical_variance / binomial.sample_size
+                         + poisson.empirical_variance / poisson.sample_size)
     return {
-        "binomial": reports["binomial"],
-        "poisson": reports["poisson"],
+        "binomial": binomial,
+        "poisson": poisson,
         "mean_difference": mean_diff,
         "joint_stderr": joint_se,
-        "mean_difference_sigmas": mean_diff / joint_se if joint_se > 0 else math.inf,
+        "mean_difference_sigmas": (mean_diff / joint_se if joint_se > 0
+                                   else math.inf if mean_diff else 0.0),
     }

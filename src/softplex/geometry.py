@@ -129,20 +129,6 @@ def build_graph(cloud: PointCloud, r: float, *, seed: int | None = None) -> Geom
     return GeometricGraph(cloud=cloud, r=r, edges=threshold_pairs(cloud.points, r))
 
 
-def leftmost_point(vertex_indices, cloud: PointCloud) -> int:
-    """Index of the lexicographically smallest point among the given vertices.
-
-    Coordinate ties (probability zero under continuous densities) resolve to
-    the lowest vertex index, so the result is a pure function of the set.
-    """
-    idx = np.asarray(sorted(int(v) for v in set(np.asarray(vertex_indices).ravel().tolist())))
-    if idx.size == 0:
-        raise InputError("leftmost point of an empty vertex set is undefined")
-    pts = cloud.points[idx]
-    order = np.lexsort(pts.T[::-1])  # primary key: first coordinate
-    return int(idx[order[0]])
-
-
 @dataclass(frozen=True)
 class RegionSpec:
     kind: str  # "all", "box", or "box-complement"

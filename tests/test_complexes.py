@@ -478,6 +478,37 @@ def test_face_counts_region_restriction_by_leftmost_point():
     assert face_counts(cx, outside).f == (0, 0, 0)
 
 
+def test_face_counts_first_coordinate_tie_decided_by_second():
+    # both points share x = 0; the leftmost one is the lower, whichever box holds it
+    cx = build_rips(build_graph(cloud_from([[0.0, 0.9], [0.0, 0.2]]), 1.0), 1)
+    lower = RegionSpec(kind="box", lo=(-1.0, 0.0), hi=(1.0, 0.5))
+    upper = RegionSpec(kind="box", lo=(-1.0, 0.5), hi=(1.0, 1.0))
+    assert face_counts(cx, lower).f == (1, 1)
+    assert face_counts(cx, upper).f == (1, 0)
+
+
+def test_face_counts_coincident_points():
+    cx = build_rips(build_graph(cloud_from([[0.3, 0.3], [0.3, 0.3], [0.6, 0.3]]), 0.5), 2)
+    assert cx.face_vector() == (3, 3, 1)
+    twin = RegionSpec(kind="box", lo=(0.0, 0.0), hi=(0.5, 0.5))
+    assert face_counts(cx, twin).f == (2, 3, 1)
+    assert face_counts(cx, replace(twin, kind="box-complement")).f == (1, 0, 0)
+
+
+@pytest.mark.parametrize("flavor", ["rips", "cech"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_face_counts_do_not_depend_on_row_order(flavor, d):
+    # a lattice of step 1/4 makes coordinate ties and coincident points common
+    rng = np.random.default_rng(d)
+    points = 0.25 * rng.integers(0, 5, size=(30, d))
+    region = RegionSpec(kind="box", lo=(0.1,) * d, hi=(0.8,) * d)
+    counts = face_counts(build_complex(build_graph(cloud_from(points), 0.5), 3, flavor), region)
+    assert counts.f[1] > 0
+    for _ in range(5):
+        shuffled = cloud_from(points[rng.permutation(len(points))])
+        assert face_counts(build_complex(build_graph(shuffled, 0.5), 3, flavor), region) == counts
+
+
 def test_face_counts_empty_complex():
     cloud = cloud_from([[0.0], [5.0]])
     cx = build_rips(build_graph(cloud, 1.0), 2)

@@ -15,6 +15,7 @@ f(x)^m over the region, x ~ f.  It stays as a statistical oracle for
 """
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -218,6 +219,22 @@ def test_blocked_estimates_equal_the_row_wise_reference_at_full_size(kind, args,
     value, stderr = row_wise_estimate(kind, k, l, j, d, density, region, samples, 9,
                                       constants._SHARD)
     assert (est.value, est.stderr, est.samples) == (value, stderr, samples)
+
+
+@pytest.mark.parametrize("estimate", [estimate_mu, estimate_nu])
+def test_default_pool_equals_one_thread(estimate):
+    # threads=None runs the shards on a pool of its default size; a constant
+    # of dimension 2 draws m = 2 points a tuple, so the shards hold 96 tuples
+    density = UniformBox([0.0] * 2, [1.0] * 2)
+    with mock.patch.multiple(constants, _SHARD=192), \
+            mock.patch.object(constants, "ThreadPoolExecutor", wraps=ThreadPoolExecutor) as pool:
+        default = estimate(2, 2, density, samples=1000, seed=5)
+        assert pool.call_args_list == [mock.call(max_workers=None)]
+        serial = estimate(2, 2, density, samples=1000, seed=5, threads=1)
+        assert pool.call_count == 1
+    assert len(_shard_sizes(1000, 192 // 2)) == 11 and serial.stderr > 0.0
+    assert (np.array([default.value, default.stderr]).tobytes()
+            == np.array([serial.value, serial.stderr]).tobytes())
 
 
 # every member list of these has at most two points: (kind, args, m)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,9 +57,9 @@ def small_config(**overrides):
 def test_run_experiment_deterministic():
     config = small_config()
     a = run_experiment(config, threads=1)
-    b = run_experiment(config, threads=3)
-    assert [res.f for res in a] == [res.f for res in b]
-    assert [res.chi for res in a] == [res.chi for res in b]
+    for b in (run_experiment(config, threads=3), run_experiment(config)):
+        assert [(res.index, res.f, res.chi, res.n_points) for res in a] == \
+            [(res.index, res.f, res.chi, res.n_points) for res in b]
 
 
 def test_complete_graph_when_r_exceeds_diameter():
@@ -262,6 +263,18 @@ def test_depoisson_compare_small_n_variances_differ():
     assert out["binomial"].empirical_variance == 0.0
     assert math.isnan(out["binomial"].ks_distance)
     assert out["poisson"].empirical_variance > 100.0
+    poisson = statistic_samples(run_experiment(replace(config, process="poisson")), config)
+    assert out["mean_difference"] == 190.0 - poisson.mean()
+    assert out["joint_stderr"] == math.sqrt(poisson.var(ddof=1) / poisson.size)
+    assert out["mean_difference_sigmas"] == out["mean_difference"] / out["joint_stderr"]
+
+
+def test_depoisson_compare_equal_constant_runs_are_zero_sigmas():
+    # r far below every gap: f_2 is 0 in every run of both processes
+    config = small_config(n=20, r=1e-6, statistic=("fk", 2), replications=10)
+    out = depoisson_compare(config)
+    assert (out["mean_difference"], out["joint_stderr"]) == (0.0, 0.0)
+    assert out["mean_difference_sigmas"] == 0.0
 
 
 def test_depoisson_same_seed_differs_across_processes():

@@ -10,7 +10,6 @@ from softplex import (
     PointCloud,
     RegionSpec,
     build_graph,
-    leftmost_point,
     region_from_config,
     threshold_pairs,
     threshold_pairs_bruteforce,
@@ -145,29 +144,6 @@ def test_edges_within_threshold():
 def test_threshold_radius_validated():
     with pytest.raises(InputError):
         build_graph(cloud_from([[0.0], [0.5]]), -1.0)
-
-
-def test_leftmost_point_examples():
-    cloud = cloud_from([[1.0, 0.0], [0.0, 1.0]])
-    assert leftmost_point([0, 1], cloud) == 1
-    cloud = cloud_from([[0.0, 2.0], [0.0, 1.0]])
-    assert leftmost_point([0, 1], cloud) == 1  # lexicographic second coordinate
-    assert leftmost_point([0], cloud) == 0
-
-
-def test_leftmost_point_permutation_invariant():
-    rng = np.random.default_rng(12)
-    cloud = cloud_from(rng.random((30, 3)))
-    subset = [5, 17, 2, 29, 11]
-    baseline = leftmost_point(subset, cloud)
-    for _ in range(10):
-        rng.shuffle(subset)
-        assert leftmost_point(subset, cloud) == baseline
-
-
-def test_leftmost_point_of_empty_set_is_error():
-    with pytest.raises(InputError):
-        leftmost_point([], cloud_from([[0.0]]))
 
 
 def test_in_region_examples():

@@ -3,7 +3,7 @@ import bisect
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from softplex._grouping import _find, pairs_within_groups
+from softplex.complexes import _find, pairs_within_groups
 
 # Group sizes 0..6 cover empty input, zero-size groups and singletons.
 SIZES = st.lists(st.integers(0, 6), max_size=12)
