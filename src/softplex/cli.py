@@ -134,12 +134,13 @@ def _write_json(path: str, payload) -> None:
 
 def _thread_count(args) -> int | None:
     """Worker count from --threads, else SOFTPLEX_THREADS, else None (the default)."""
-    threads, source = getattr(args, "threads", None), "--threads"
+    threads, source = args.threads, "--threads"
     if threads is None:
         threads, source = os.environ.get("SOFTPLEX_THREADS") or None, "SOFTPLEX_THREADS"
-    if threads is not None and not (str(threads).isdecimal() and int(threads) >= 1):
-        raise ConfigurationError(f"{source} must be a positive integer, got {threads!r}")
-    return None if threads is None else int(threads)
+    try:  # one rule for both: a count >= 1 in any notation _parse_count takes
+        return None if threads is None else count(float(threads), source, 1, ConfigurationError)
+    except ValueError:
+        raise ConfigurationError(f"{source} must be a count, got {threads!r}") from None
 
 
 def _cmd_sample(args) -> int:
@@ -245,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     cloud.add_argument("--n", type=_parse_count, required=True)
     cloud.add_argument("--density", default="uniform",
                        help="uniform, gaussian, or density JSON (inline object or file path)")
-    cloud.add_argument("--d", type=int, default=1)
+    cloud.add_argument("--d", type=_parse_count, default=1)
     cloud.add_argument("--seed", type=_parse_count, default=0)
     cloud.add_argument("--out", required=True, help="output path (a prefix for build)")
 
@@ -258,24 +259,24 @@ def build_parser() -> argparse.ArgumentParser:
                              help="build a complex and dump faces per dimension")
     p_build.add_argument("--model", choices=["rips", "cech"], default="rips")
     p_build.add_argument("--r", type=float, required=True)
-    p_build.add_argument("--kmax", type=int, default=4)
+    p_build.add_argument("--kmax", type=_parse_count, default=4)
     p_build.add_argument("--rho", type=_parse_rho, default=None,
                          help="comma-separated retention probabilities p1,p2,...")
     p_build.set_defaults(func=_cmd_build)
 
     p_const = sub.add_parser("constants", help="Monte Carlo constant estimation")
     p_const.add_argument("--kind", choices=["mu", "nu", "phi", "theta"], required=True)
-    p_const.add_argument("--k", type=int, required=True)
-    p_const.add_argument("--l", type=int, default=None)
-    p_const.add_argument("--j", type=int, default=None)
-    p_const.add_argument("--d", type=int, required=True)
+    p_const.add_argument("--k", type=_parse_count, required=True)
+    p_const.add_argument("--l", type=_parse_count, default=None)
+    p_const.add_argument("--j", type=_parse_count, default=None)
+    p_const.add_argument("--d", type=_parse_count, required=True)
     p_const.add_argument("--density", default="uniform",
                          help="uniform, gaussian, or density JSON (inline object or file path)")
     p_const.add_argument("--region", default=None,
                          help="region JSON (inline object or file path), default all space")
     p_const.add_argument("--samples", type=_parse_count, default=1_000_000)
     p_const.add_argument("--seed", type=_parse_count, default=0)
-    p_const.add_argument("--threads", type=int, default=None)
+    p_const.add_argument("--threads", type=_parse_count, default=None)
     p_const.add_argument("--out", required=True)
     p_const.set_defaults(func=_cmd_constants)
 
@@ -288,12 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--out", required=True)
     experiment.add_argument("--n", type=_parse_count, default=None)
     experiment.add_argument("--r", type=float, default=None)
-    experiment.add_argument("--kmax", type=int, default=None)
+    experiment.add_argument("--kmax", type=_parse_count, default=None)
     experiment.add_argument("--seed", type=_parse_count, default=None)
 
     p_run = exp_sub.add_parser("run", parents=[experiment],
                                help="run replications to a CSV table")
-    p_run.add_argument("--threads", type=int, default=None)
+    p_run.add_argument("--threads", type=_parse_count, default=None)
     p_run.set_defaults(func=_cmd_experiment_run)
 
     p_rep = exp_sub.add_parser("report", parents=[experiment],
@@ -303,11 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_reg = sub.add_parser("regime", help="check regime hypotheses for (n, r, rho)")
     p_reg.add_argument("--n", type=float, required=True)
-    p_reg.add_argument("--d", type=int, required=True)
+    p_reg.add_argument("--d", type=_parse_count, required=True)
     radius = p_reg.add_mutually_exclusive_group(required=True)
     radius.add_argument("--r", type=float)
     radius.add_argument("--a", type=float, help="rule r^d = n^(-a)")
-    p_reg.add_argument("--k", type=int, required=True, help="face dimension k (or l for chi)")
+    p_reg.add_argument("--k", type=_parse_count, required=True,
+                       help="face dimension k (or l for chi)")
     p_reg.add_argument("--mode", choices=["fk", "chi"], default="fk")
     p_reg.add_argument("--rho", type=_parse_rho, default=None)
     p_reg.add_argument("--sparse-threshold", type=float, default=0.1)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations
 
 import numpy as np
@@ -226,8 +226,6 @@ def _inner_worker(m: int, d: int, member_lists, flavor: str, seed: int):
 # constant kind -> (complex flavor, whether it couples two faces)
 _KINDS = {"mu": ("rips", False), "nu": ("cech", False),
           "phi": ("rips", True), "theta": ("cech", True)}
-# complex flavor -> (face constant kind, pair constant kind)
-_FLAVOR_KINDS = {"rips": ("mu", "phi"), "cech": ("nu", "theta")}
 
 
 def _estimate(kind: str, k: int, l: int | None, j: int | None, d: int, density: Density,
@@ -342,40 +340,40 @@ class MomentPrediction:
     variance: float
     covariance: float | None = None
 
-    def to_json(self) -> dict:
-        out = {"mean": self.mean, "variance": self.variance}
-        if self.covariance is not None:
-            out["covariance"] = self.covariance
-        return out
 
-
-def _find_constant(constants, kind: str, k: int, l=None, j=None) -> ConstantEstimate:
+def _find_constant(constants, flavor: str, k: int, l: int, j: int) -> ConstantEstimate:
+    """The flavor's constant of the pair (k, l, j); a face constant is its pair (k, k, k + 1)."""
     for c in constants:
-        if c.kind == kind and c.k == k and c.l == l and c.j == j:
+        pair = (c.k, c.k, c.k + 1) if c.l is None else (c.k, c.l, c.j)
+        if _KINDS.get(c.kind, ("",))[0] == flavor and pair == (k, l, j):
             return c
-    raise ConfigurationError(f"missing constant estimate ({kind}, k={k}, l={l}, j={j})")
+    raise ConfigurationError(f"missing constant estimate ({flavor}, k={k}, l={l}, j={j})")
 
 
 def predicted_moments(n: float, r: float, d: int, rho, k: int, l: int | None = None,
                       constants=(), flavor: str = "rips") -> MomentPrediction:
     """Asymptotic mean/variance of f_k, and covariance with f_l when requested.
 
-    For k = 0 the scale is n, so mean and variance both equal the region
-    mass times n, the Poisson-process values.
+    A second moment of f_k and f_l is the sum over shared vertex counts
+    j = 1..min(k, l) + 1 of pair constant times scale; the variance is its
+    l = k case, whose j = k + 1 term is the mean.  For k = 0 that is the only
+    term, so mean and variance both equal the region mass times n, the
+    Poisson-process values.
     """
-    if flavor not in _FLAVOR_KINDS:
+    if flavor not in ("rips", "cech"):
         raise ConfigurationError(f"flavor must be 'rips' or 'cech', got {flavor!r}")
     n, r = real(n, "n", 0), real(r, "r")
-    face_kind, pair_kind = _FLAVOR_KINDS[flavor]
-    face = _find_constant(constants, face_kind, k).value
-    mean = variance = face * _exp(log_growth_quantity(n, r, d, rho, k), f"the f_{k} scale")
-    covariance = None
-    if l is not None:
-        covariance = 0.0
-        for j in range(1, min(k, l) + 2):
-            pair = _find_constant(constants, pair_kind, k, l, j).value
-            covariance += pair * _exp(_log_scale(n, r, d, rho, k, l, j), f"the {(k, l, j)} scale")
-    return MomentPrediction(mean=mean, variance=variance, covariance=covariance)
+    k, l = count(k, "face dimension k"), None if l is None else count(l, "face dimension l")
+
+    def term(l: int, j: int) -> float:
+        pair = _find_constant(constants, flavor, k, l, j).value
+        return pair * _exp(_log_scale(n, r, d, rho, k, l, j), f"the {(k, l, j)} scale")
+
+    def second_moment(l: int) -> float:
+        return sum(term(l, j) for j in range(1, min(k, l) + 2))
+
+    return MomentPrediction(mean=term(k, k + 1), variance=second_moment(k),
+                            covariance=None if l is None else second_moment(l))
 
 
 def poisson_unit_square_mean_f1(n: float, r: float) -> float:
@@ -424,18 +422,7 @@ class RegimeReport:
         return all(self.flags.values())
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "r": self.r,
-            "d": self.d,
-            "rho": list(self.rho),
-            "mode": self.mode,
-            "k_or_l": self.k_or_l,
-            "quantities": dict(self.quantities),
-            "flags": dict(self.flags),
-            "thresholds": dict(self.thresholds),
-            "ok": self.ok,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def regime_check(n: float, r: float, d: int, rho, mode: tuple[str, int],

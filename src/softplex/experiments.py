@@ -6,23 +6,24 @@ as it goes, and records the region-restricted face counts and Euler
 characteristic.  Replications are independent work items seeded by
 hash(master_seed, index), so the results are bit-identical for any worker
 count.  On top of the replication table sit the normality diagnostics:
-z-score normalization (empirical or predicted), the Kolmogorov-Smirnov
-distance to the standard normal, sample moments, and the variance-ratio
-comparisons against the vertex count.  The KS distance imports scipy's
-normal CDF where it is taken, so a run that only replicates never loads scipy.
+z-scores (by a MomentPrediction when one is given, else by the sample's own
+moments), the Kolmogorov-Smirnov distance to the standard normal, sample
+moments, and the variance-ratio comparisons against the vertex count.  The
+KS distance imports scipy's normal CDF where it is taken, so a run that only
+replicates never loads scipy.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from . import errors
 from .complexes import _retention, build_complex, euler_characteristic, face_counts
-from .constants import _log_unit_ball_volume, _map_in_order
+from .constants import MomentPrediction, _log_unit_ball_volume, _map_in_order
 from .densities import Density, UniformBox, density_from_config
 from .errors import (ConfigurationError, DegenerateSampleError, InputError, MemoryGuardError,
                      count, real)
@@ -233,21 +234,19 @@ def statistic_samples(results: list[ReplicationResult], config: ExperimentConfig
     return np.asarray([res.chi for res in results], dtype=np.float64)
 
 
-def normalize(samples, mode: str = "empirical", mean: float | None = None,
-              var: float | None = None) -> np.ndarray:
-    """z-scores (x - center)/sqrt(scale), empirical moments or supplied ones."""
+def normalize(samples, predicted: MomentPrediction | None = None) -> np.ndarray:
+    """z-scores (x - mean)/sqrt(variance): the predicted moments when given, else the sample's."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size < 2:
         raise InputError("normalization requires at least 2 samples")
-    if mode == "empirical":
+    if predicted is None:
         center = samples.mean()
         scale = samples.var()  # population normalization: z-scores have unit variance
         if scale == 0.0:
             raise DegenerateSampleError("all samples identical; empirical variance is zero")
-    elif mode == "predicted":
-        center, scale = real(mean, "predicted mean"), real(var, "predicted var", 0)
     else:
-        raise InputError(f"unknown normalization mode {mode!r}")
+        center = real(predicted.mean, "predicted mean")
+        scale = real(predicted.variance, "predicted variance", 0)
     return (samples - center) / math.sqrt(scale)
 
 
@@ -321,7 +320,6 @@ class CltReport:
     empirical_variance: float
     predicted_mean: float | None
     predicted_variance: float | None
-    normalization: str
     z_scores: tuple = field(repr=False)
     ks_distance: float = 0.0
     skewness: float = 0.0
@@ -329,35 +327,25 @@ class CltReport:
     jarque_bera: float = 0.0
     variance_ratios: dict = field(default_factory=dict)
 
+    @property
+    def normalization(self) -> str:
+        return "empirical" if self.predicted_mean is None else "predicted"
+
     def to_json(self) -> dict:
         def value(x):  # a statistic that has no value (NaN) is written as null
             return None if isinstance(x, float) and math.isnan(x) else x
 
-        return {
-            "sample_size": self.sample_size,
-            "empirical_mean": self.empirical_mean,
-            "empirical_variance": self.empirical_variance,
-            "predicted_mean": self.predicted_mean,
-            "predicted_variance": self.predicted_variance,
-            "normalization": self.normalization,
-            "ks_distance": value(self.ks_distance),
-            "skewness": value(self.skewness),
-            "excess_kurtosis": value(self.excess_kurtosis),
-            "jarque_bera": value(self.jarque_bera),
-            "variance_ratios": {key: value(x) for key, x in self.variance_ratios.items()},
-            "z_scores": list(self.z_scores),
-        }
+        out = {key: value(x) for key, x in asdict(self).items()}
+        ratios = {key: value(x) for key, x in self.variance_ratios.items()}
+        return {**out, "variance_ratios": ratios, "normalization": self.normalization}
 
 
 def clt_report(results: list[ReplicationResult], config: ExperimentConfig,
-               predicted_mean: float | None = None, predicted_variance: float | None = None,
-               normalization: str = "empirical") -> CltReport:
+               predicted: MomentPrediction | None = None) -> CltReport:
+    """Normality diagnostics of the statistic, normalized by ``predicted`` when it is given."""
     samples = statistic_samples(results, config)
     try:
-        if normalization == "empirical":
-            z = normalize(samples, "empirical")
-        else:
-            z = normalize(samples, "predicted", mean=predicted_mean, var=predicted_variance)
+        z = normalize(samples, predicted)
         moments = moment_diagnostics(z)
     except DegenerateSampleError:
         # constant statistic: report the degenerate sample instead of failing
@@ -369,9 +357,8 @@ def clt_report(results: list[ReplicationResult], config: ExperimentConfig,
     return CltReport(
         sample_size=len(samples),
         empirical_mean=float(samples.mean()),
-        predicted_mean=predicted_mean,
-        predicted_variance=predicted_variance,
-        normalization=normalization,
+        predicted_mean=None if predicted is None else predicted.mean,
+        predicted_variance=None if predicted is None else predicted.variance,
         variance_ratios=variance_ratio_report(results, config),
         **spread,
     )

@@ -241,15 +241,46 @@ def test_constants_threads_do_not_change_output(tmp_path):
 
 
 def test_threads_env_fallback(tmp_path, monkeypatch):
-    monkeypatch.setenv("SOFTPLEX_THREADS", "2")
     config = write_config(tmp_path / "exp.json", replications=6)
-    out = tmp_path / "res.csv"
-    assert main(["experiment", "run", "--config", str(config), "--out", str(out)]) == 0
-    assert out.exists()
+    for env in ("2", "2e0"):  # the variable takes the notations of --threads
+        monkeypatch.setenv("SOFTPLEX_THREADS", env)
+        out = tmp_path / f"res-{env}.csv"
+        assert main(["experiment", "run", "--config", str(config), "--out", str(out)]) == 0
+        assert out.exists()
+
+
+COUNT_FLAGS = ("--d", "--kmax", "--k", "--l", "--j", "--threads")
+
+
+@pytest.mark.parametrize("command", [
+    ["sample", "--n", "5", "--d", "2"],
+    ["build", "--n", "30", "--r", "0.2", "--kmax", "2", "--d", "2"],
+    ["constants", "--kind", "theta", "--k", "2", "--l", "2", "--j", "2", "--d", "2",
+     "--samples", "500", "--threads", "2"],
+    ["experiment", "run", "--kmax", "1", "--threads", "2"],
+    ["regime", "--n", "1e4", "--d", "1", "--a", "1.1", "--k", "1"],
+], ids=["sample", "build", "constants", "experiment-run", "regime"])
+def test_count_flags_take_scientific_notation(tmp_path, capsys, command):
+    # "2e0" is the count 2, with the same artifact bytes; a fraction exits 1
+    if command[0] == "experiment":
+        command = [*command, "--config", str(write_config(tmp_path / "exp.json"))]
+
+    def artifacts(form):
+        argv = [form.format(value) if flag in COUNT_FLAGS else value
+                for flag, value in zip([None, *command], command)]
+        out = tmp_path / form.replace("{}", "v")
+        code = main(argv if command[0] == "regime" else [*argv, "--out", str(out)])
+        files = sorted(tmp_path.glob(f"{out.name}*"))
+        return code, capsys.readouterr().out, [path.read_bytes() for path in files]
+
+    code, stdout, files = artifacts("{}")
+    assert code == 0 and (stdout or files)
+    assert artifacts("{}e0") == (0, stdout, files)
+    assert artifacts("{}.5")[0] == 1
 
 
 @pytest.mark.parametrize("flag,env", [(["--threads", "0"], None), (["--threads", "-3"], None),
-                                      ([], "abc"), ([], "0")])
+                                      ([], "abc"), ([], "0"), ([], "2.5")])
 def test_bad_thread_count_exits_one(tmp_path, monkeypatch, caplog, flag, env):
     if env is not None:
         monkeypatch.setenv("SOFTPLEX_THREADS", env)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from softplex import (
     estimate_nu,
     estimate_phi,
     estimate_theta,
+    poisson_d1_ratios,
     predicted_moments,
     regime_check,
     retention_exponent,
@@ -266,10 +268,11 @@ def test_predicted_moments_examples():
     n, d = 10_000.0, 1
     r = n ** (-1.1)
     mu2 = estimate_mu(1, 1, UNIT_1D, samples=1000, seed=20)
+    phi1 = estimate_phi(1, 1, 1, 1, UNIT_1D, samples=1000, seed=23)
     mu0 = estimate_mu(0, 1, UNIT_1D, samples=1000, seed=21)
-    pred = predicted_moments(n, r, d, (1.0,), k=1, constants=[mu2])
+    pred = predicted_moments(n, r, d, (1.0,), k=1, constants=[mu2, phi1])
     assert pred.mean == pytest.approx(n * n * r, rel=1e-9)
-    zero = predicted_moments(n, r, d, (0.0,), k=1, constants=[mu2])
+    zero = predicted_moments(n, r, d, (0.0,), k=1, constants=[mu2, phi1])
     assert zero.mean == 0.0 and zero.variance == 0.0
     vertex = predicted_moments(n, r, d, (1.0,), k=0, constants=[mu0])
     assert vertex.variance == pytest.approx(n)  # Poisson vertex count
@@ -293,20 +296,61 @@ def test_predicted_moments_covariance_term():
     pred = predicted_moments(n, r, d, (0.5,), k=1, l=1, constants=[mu2, phi1, phi2])
     expect = 0.5**2 * n**3 * r**2 * phi1.value + 0.5 * n**2 * r * phi2.value
     assert pred.covariance == pytest.approx(expect, rel=1e-9)
-    with pytest.raises(ConfigurationError):
-        predicted_moments(n, r, d, (0.5,), k=1, l=1, constants=[mu2, phi1])
+    # mu_1 is the pair (1, 1, 2), so it answers for phi(1, 1, 2); phi(1, 1, 1) has no stand-in
+    alone = predicted_moments(n, r, d, (0.5,), k=1, l=1, constants=[mu2, phi1])
+    assert alone.covariance == alone.variance == pytest.approx(
+        0.5**2 * n**3 * r**2 * phi1.value + 0.5 * n**2 * r * mu2.value, rel=1e-9)
+    with pytest.raises(ConfigurationError, match=r"estimate .rips, k=1, l=1, j=1."):
+        predicted_moments(n, r, d, (0.5,), k=1, l=1, constants=[mu2, phi2])
 
 
 def test_predicted_covariance_needs_every_retention_factor():
     # l = 2 needs p_1 and p_2; a missing p_2 must not be read as 1
     n, d, r = 1e4, 1, 1e-4
-    constants = [estimate_mu(1, 1, UNIT_1D, samples=1000, seed=25)]
+    constants = [estimate_mu(1, 1, UNIT_1D, samples=1000, seed=25),
+                 estimate_phi(1, 1, 1, 1, UNIT_1D, samples=1000, seed=25)]
     constants += [estimate_phi(1, 2, j, 1, UNIT_1D, samples=1000, seed=26) for j in (1, 2)]
     full = predicted_moments(n, r, d, (0.5, 1.0), k=1, l=2, constants=constants)
     thinned = predicted_moments(n, r, d, (0.5, 0.01), k=1, l=2, constants=constants)
     assert thinned.covariance < full.covariance
     with pytest.raises(ConfigurationError, match="too short"):
         predicted_moments(n, r, d, (0.5,), k=1, l=2, constants=constants)
+
+
+@pytest.mark.parametrize("n,a", [(3e3, 1.05), (1e4, 1.1), (1e5, 1.2)])
+def test_predicted_variance_matches_exact_d1_form(n, a):
+    # mu_1 = 1 and phi(1, 1, 1) = 4 are exact on the unit interval, so nothing is drawn;
+    # the j = 2 term alone (variance = mean) misses the exact var f_1 by 1.4-3.7x here
+    r = n ** -a
+    constants = [estimate_mu(1, 1, UNIT_1D), estimate_phi(1, 1, 1, 1, UNIT_1D)]
+    assert [c.value for c in constants] == pytest.approx([1.0, 4.0], rel=1e-12)
+    assert [c.stderr for c in constants] == [0.0, 0.0]
+    pred = predicted_moments(n, r, 1, (1.0,), k=1, constants=constants)
+    exact = poisson_d1_ratios(n, r)[0] * n
+    assert pred.variance == pytest.approx(exact, rel=5e-4)
+
+
+@pytest.mark.parametrize("flavor,face,pair", [("rips", "mu", "phi"), ("cech", "nu", "theta")])
+def test_predicted_variance_sums_every_overlap(flavor, face, pair):
+    # k = l = 2, rho = (0.7, 0.5): the exponents of (p_1, p_2) are (6, 2), (5, 2), (3, 1)
+    # for j = 1, 2, 3, and n = 1e4, r = 1e-2 in d = 2 put each n, r factor at 1e4
+    n, r, d = 1e4, 1e-2, 2
+    values = {1: 3.0, 2: 5.0, 3: 7.0}
+    constants = [ConstantEstimate(value=values[1], stderr=0.0, samples=1, kind=pair, k=2, l=2, j=1),
+                 ConstantEstimate(value=values[2], stderr=0.0, samples=1, kind=pair, k=2, l=2, j=2),
+                 ConstantEstimate(value=values[3], stderr=0.0, samples=1, kind=face, k=2)]
+    # the other flavor's constants must not stand in
+    other = {"mu": "nu", "nu": "mu", "phi": "theta", "theta": "phi"}
+    decoys = [replace(c, kind=other[c.kind], value=100 * c.value) for c in constants]
+    pred = predicted_moments(n, r, d, (0.7, 0.5), k=2, constants=decoys + constants,
+                             flavor=flavor)
+    by_hand = (values[1] * 0.7**6 * 0.5**2 * n**5 * r**8
+               + values[2] * 0.7**5 * 0.5**2 * n**4 * r**6
+               + values[3] * 0.7**3 * 0.5 * n**3 * r**4)
+    assert pred.mean == pytest.approx(values[3] * 0.7**3 * 0.5 * n**3 * r**4, rel=1e-12)
+    assert pred.variance == pytest.approx(by_hand, rel=1e-12)
+    with pytest.raises(ConfigurationError, match=f"estimate .{flavor}, k=2, l=2, j=2."):
+        predicted_moments(n, r, d, (0.7, 0.5), k=2, constants=constants[::2], flavor=flavor)
 
 
 def test_regime_check_fail_when_dense():

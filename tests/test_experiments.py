@@ -11,6 +11,7 @@ from softplex import (
     ExperimentConfig,
     InputError,
     MemoryGuardError,
+    MomentPrediction,
     RegionSpec,
     ReplicationResult,
     UniformBox,
@@ -19,6 +20,7 @@ from softplex import (
     config_from_dict,
     depoisson_compare,
     estimate_mu,
+    estimate_phi,
     euler_characteristic,
     face_counts,
     kolmogorov_threshold,
@@ -111,9 +113,11 @@ def test_empirical_mean_matches_prediction():
                           replications=300)
     results = run_experiment(config)
     samples = statistic_samples(results, config)
-    mu2 = estimate_mu(1, 1, UniformBox(lo=[0.0], hi=[1.0]), samples=1000, seed=1)
+    unit = UniformBox(lo=[0.0], hi=[1.0])
+    constants = [estimate_mu(1, 1, unit, samples=1000, seed=1),
+                 estimate_phi(1, 1, 1, 1, unit, samples=1000, seed=1)]
     pred = predicted_moments(config.n, config.radius, 1, config.retention, k=1,
-                             constants=[mu2])
+                             constants=constants)
     stderr = samples.std(ddof=1) / math.sqrt(len(samples))
     assert abs(samples.mean() - pred.mean) <= 3.0 * stderr
 
@@ -173,10 +177,10 @@ def test_normalize_examples():
     np.testing.assert_allclose(normalize([0.0, 2.0]), [-1.0, 1.0])
     with pytest.raises(DegenerateSampleError):
         normalize([5.0, 5.0, 5.0])
-    z = normalize([1.0, 2.0, 3.0], mode="predicted", mean=2.0, var=4.0)
+    z = normalize([1.0, 2.0, 3.0], MomentPrediction(mean=2.0, variance=4.0))
     np.testing.assert_allclose(z, [-0.5, 0.0, 0.5])
     with pytest.raises(InputError):
-        normalize([1.0, 2.0], mode="predicted", mean=0.0, var=0.0)
+        normalize([1.0, 2.0], MomentPrediction(mean=0.0, variance=0.0))
 
 
 def test_ks_statistic_point_mass():
@@ -359,13 +363,18 @@ def test_scale_invariance_of_normalized_mean():
 def test_predicted_normalization_gives_finite_z_scores():
     config = small_config(n=3000, r=None, r_exponent=1.1, k_max=1, replications=50)
     results = run_experiment(config)
-    mu2 = estimate_mu(1, 1, UniformBox(lo=[0.0], hi=[1.0]), samples=1000, seed=3)
+    unit = UniformBox(lo=[0.0], hi=[1.0])
+    constants = [estimate_mu(1, 1, unit, samples=1000, seed=3),
+                 estimate_phi(1, 1, 1, 1, unit, samples=1000, seed=3)]
     pred = predicted_moments(config.n, config.radius, 1, config.retention, k=1,
-                             constants=[mu2])
-    report = clt_report(results, config, predicted_mean=pred.mean,
-                        predicted_variance=pred.variance, normalization="predicted")
+                             constants=constants)
+    report = clt_report(results, config, pred)
     assert np.all(np.isfinite(report.z_scores))
     assert report.predicted_mean == pred.mean
+    assert report.predicted_variance == pred.variance
+    assert report.normalization == "predicted"
+    payload = report.to_json()
+    assert (payload["predicted_mean"], payload["normalization"]) == (pred.mean, "predicted")
 
 
 def test_degenerate_report_keeps_variance_ratios():

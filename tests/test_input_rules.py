@@ -26,6 +26,7 @@ from softplex import (
     ExperimentConfig,
     GaussianIsotropic,
     InputError,
+    MomentPrediction,
     PiecewiseConstantGrid,
     RegionSpec,
     SoftplexError,
@@ -137,7 +138,7 @@ REFUSED = {
     "regime-overflow": lambda: regime_check(1e300, 1e200, 3, (1.0, 1.0), ("fk", 1)),
     "predicted-overflow": lambda: predicted_moments(1e300, 1e200, 3, (1.0,), k=1,
                                                     constants=[MU1]),
-    "normalize-predicted-mean-nan": lambda: normalize([1.0, 2.0], "predicted", math.nan, 1.0),
+    "normalize-predicted-mean-nan": lambda: normalize([1.0, 2.0], MomentPrediction(math.nan, 1.0)),
     "ks-statistic-nan": lambda: ks_statistic([math.nan, 1.0, 2.0]),  # returned NaN
     "kolmogorov-threshold-zero": lambda: kolmogorov_threshold(0),  # ZeroDivisionError
     "kolmogorov-threshold-negative": lambda: kolmogorov_threshold(-1),  # math domain error
