@@ -3,9 +3,14 @@
 The geometric graph joins two points whenever their distance is at most r
 (closed threshold).  In d = 1 the search sorts the points once and sweeps
 the sorted order offset by offset: a position stays a candidate for offset
-k only while its pair at offset k - 1 was within r.  In d >= 2 one
-`cKDTree.query_pairs` call from scipy finds the pairs (a k-d tree; Bentley
-1975).  Either way the sparse regime costs O(n log n + output) on average.
+k only while its pair at offset k - 1 was within r.  The order comes from
+one sort of int64 keys (q_i << b) | i, b = n.bit_length(), where q_i
+quantises x_i - min x onto 2^(62 - b) steps across the span; each float
+step is monotone, so the keys sort the cloud up to runs of equal q, and the
+few runs whose labels contradict their values are re-sorted in place.  In
+d >= 2 one `cKDTree.query_pairs` call from scipy finds the pairs (a k-d
+tree; Bentley 1975).  Either way the sparse regime costs O(n log n +
+output) on average.
 Every path returns its edges sorted by the int64 code lo * n + hi.  A
 quadratic reference implementation is kept alongside as the correctness
 oracle.  scipy is imported inside the two calls that use it, so a d = 1 run
@@ -14,6 +19,7 @@ never loads it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +76,56 @@ def threshold_pairs_bruteforce(points: np.ndarray, r: float) -> np.ndarray:
     return _sort_pairs(ii.astype(np.int64), jj.astype(np.int64), n)
 
 
+def _quanta(v: np.ndarray, lo: float, scale: float) -> np.ndarray:
+    """trunc((v - lo) * scale) as int64; zeros for scale 0."""
+    if not scale:
+        return np.zeros(v.size, dtype=np.int64)
+    q = v - lo
+    q *= scale
+    return q.astype(np.int64)
+
+
+def _sorted_order(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The order that sorts a 1-d cloud, with the sorted values and their offset-1 gaps.
+
+    One ``sort`` of the int64 keys (q_i << b) | i, b = n.bit_length(), where
+    q_i = trunc((x_i - min x) * 2^(62 - b) / span) is at most 2^(62 - b) up
+    to rounding, so the keys stay below 2^63.  Subtraction, multiplication
+    and truncation are each monotone, so x_i < x_j gives q_i <= q_j: the
+    keys sort the cloud except inside a run of equal q, where the labels
+    break the tie.  A negative gap marks such a run out of order; only those
+    runs are re-sorted, by (q, x), in place, with q taken again from the
+    sorted values.  A span of 0, or one too large or too small to scale,
+    puts the whole cloud in one run of q = 0.
+    """
+    n = x.size
+    b = n.bit_length()
+    lo = float(x.min())
+    span = float(x.max()) - lo  # Python floats: an overflow gives inf, not a warning
+    scale = 2.0 ** (62 - b) / span if span > 0 else 0.0
+    if scale == math.inf:
+        scale = 0.0
+    key = _quanta(x, lo, scale)
+    key <<= b
+    key |= np.arange(n, dtype=np.int64)
+    key.sort()
+    key &= (1 << b) - 1
+    xs = x[key]
+    gap = xs[1:] - xs[:-1]
+    if gap.min() < 0:
+        q = _quanta(xs, lo, scale)
+        runs = np.unique(q[np.flatnonzero(gap < 0)])
+        first = np.searchsorted(q, runs)
+        sizes = np.searchsorted(q, runs, side="right") - first
+        at = np.repeat(first - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
+        by_value = at[np.lexsort((xs[at], q[at]))]
+        key[at] = key[by_value]
+        xs[at] = xs[by_value]
+        near = np.clip(np.concatenate((at - 1, at)), 0, n - 2)
+        gap[near] = xs[near + 1] - xs[near]
+    return key, xs, gap
+
+
 def _threshold_pairs_sweep(x: np.ndarray, r: float) -> np.ndarray:
     """All pairs of a 1-d cloud at distance <= r, by one sort and an offset sweep.
 
@@ -77,23 +133,25 @@ def _threshold_pairs_sweep(x: np.ndarray, r: float) -> np.ndarray:
     tests only the positions whose pair at offset k - 1 passed, and the sweep
     stops when none is left.  That drops no pair: in sorted order the float
     gap xs[i + k] - xs[i] never decreases as k grows, because subtraction
-    rounds monotonically.  Vertex labels stay in draw order.
+    rounds monotonically.  Any sorted order gives the same edges, since the
+    test gap * gap <= r * r is symmetric (a - b = -(b - a) exactly); a gap
+    or square that overflows is inf and is compared as the oracle compares
+    it.  Vertex labels stay in draw order.
     """
     n = x.shape[0]
-    order = np.argsort(x)
-    xs = x[order]
     r2 = r * r
-    gap = xs[1:] - xs[:-1]
-    pos = np.flatnonzero(gap * gap <= r2)
-    lefts, rights = [pos], [pos + 1]
-    k = 2
-    while pos.size:
-        pos = pos[pos < n - k]
-        gap = xs[pos + k] - xs[pos]
-        pos = pos[gap * gap <= r2]
-        lefts.append(pos)
-        rights.append(pos + k)
-        k += 1
+    with np.errstate(over="ignore"):
+        order, xs, gap = _sorted_order(x)
+        pos = np.flatnonzero(np.square(gap, out=gap) <= r2)
+        lefts, rights = [pos], [pos + 1]
+        k = 2
+        while pos.size:
+            pos = pos[pos < n - k]
+            gap = xs[pos + k] - xs[pos]
+            pos = pos[gap * gap <= r2]
+            lefts.append(pos)
+            rights.append(pos + k)
+            k += 1
     return _sort_pairs(order[np.concatenate(lefts)], order[np.concatenate(rights)], n)
 
 
@@ -103,7 +161,9 @@ def threshold_pairs(points: np.ndarray, r: float) -> np.ndarray:
     The tree is scipy's `cKDTree` with its default parameters; `query_pairs`
     keeps a pair when its float squared distance is at most r * r, the
     oracle's closed test.  Coordinates must be finite; they are checked once
-    here, for every d.
+    here, for every d.  The tree also needs the squared diagonal of the
+    cloud's bounding box to be a finite double, so a d >= 2 cloud beyond
+    that is refused here; the d = 1 sweep takes any finite cloud.
     """
     n, d = points.shape
     if not np.isfinite(points).all():
@@ -112,6 +172,14 @@ def threshold_pairs(points: np.ndarray, r: float) -> np.ndarray:
         return _NO_EDGES.copy()
     if d == 1:
         return _threshold_pairs_sweep(points[:, 0], r)
+    # Python floats: an overflow gives inf, not a warning
+    spans = [float(axis.max()) - float(axis.min()) for axis in points.T]
+    if sum(span * span for span in spans) == math.inf:
+        raise InputError(
+            "threshold graph in d >= 2 needs the bounding box's squared diagonal, the sum"
+            " of (max - min)^2 over the axes, to be at most the largest double, 1.798e+308"
+            " (a diagonal of at most 1.341e+154); it overflows"
+        )
     from scipy.spatial import cKDTree
 
     pairs = cKDTree(points).query_pairs(r, output_type="ndarray")

@@ -456,13 +456,20 @@ def test_json_flags_take_an_inline_object_or_a_path(tmp_path):
 
 
 def test_console_entry_point_runs():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import softplex
+
+    # the child imports the same package as this process, under any pytest invocation
+    src = str(Path(softplex.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "softplex.cli", "regime", "--n", "1e4", "--d", "1",
          "--a", "1.6", "--k", "1", "--mode", "chi"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     payload = strict_json(proc.stdout)

@@ -14,7 +14,7 @@ from softplex import (
     threshold_pairs,
     threshold_pairs_bruteforce,
 )
-from softplex.geometry import region_mask
+from softplex.geometry import _sorted_order, region_mask
 
 
 def cloud_from(points):
@@ -114,6 +114,53 @@ def test_far_offset_pair_is_found_or_refused():
     plane = np.hstack([line, np.zeros((3, 1))])
     assert threshold_pairs_bruteforce(plane, 2e-17).tolist() == [[1, 2]]
     assert threshold_pairs(plane, 2e-17).tolist() == [[1, 2]]
+
+
+def test_tie_run_out_of_label_order_is_repaired():
+    # x - min x rounds to 1.0 for the four middle values, so they share one
+    # quantum, and their labels 2, 3, 4, 5 contradict their values.
+    x = np.array([-1.0, 1.0, 1e-30, 0.0, -1e-30, 1e-30])
+    assert set((x[2:] - x.min()).tolist()) == {1.0}
+    order, xs, gap = _sorted_order(x)
+    assert order.tolist() == [0, 4, 3, 2, 5, 1]  # the keys alone give [0, 2, 3, 4, 5, 1]
+    assert xs.tobytes() == x[order].tobytes() and np.all(gap >= 0)
+    for r in (0.0, 1e-30, 2e-30, 1.0, 2.0):
+        pts = x[:, None]
+        assert threshold_pairs(pts, r).tobytes() == threshold_pairs_bruteforce(pts, r).tobytes()
+
+
+def test_constant_cloud_is_the_complete_graph():
+    pts = np.full((7, 1), -2.5)
+    assert threshold_pairs(pts, 0.0).tolist() == [[i, j] for i in range(7) for j in range(i + 1, 7)]
+
+
+def test_huge_span_line_has_edges_and_no_overflow_warning():
+    # the suite turns RuntimeWarning into an error, so an overflowing gap would fail here
+    line = np.array([[1e308], [-1e308], [0.0], [5.0]])
+    assert threshold_pairs(line, 6.0).tolist() == [[2, 3]]
+
+
+def test_huge_span_plane_is_refused_with_the_limit():
+    plane = np.array([[1e308, 0.0], [-1e308, 0.0], [0.0, 0.0], [5.0, 0.0]])
+    with pytest.raises(InputError, match=r"diagonal of at most 1\.341e\+154"):
+        threshold_pairs(plane, 6.0)
+    below = np.array([[0.0, 0.0], [5.0, 0.0], [1.3e154, 0.0]])
+    assert threshold_pairs(below, 6.0).tolist() == [[0, 1]]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sweep_matches_a_tree_on_a_large_uniform_line(seed):
+    from scipy.spatial import cKDTree
+
+    n = 200_000
+    pts = np.random.default_rng(seed).random((n, 1))
+    r = n ** -1.1
+    pairs = cKDTree(pts).query_pairs(r, output_type="ndarray")
+    codes = np.sort(pairs.min(axis=1) * n + pairs.max(axis=1))
+    reference = np.stack(np.divmod(codes, n), axis=1)
+    edges = threshold_pairs(pts, r)
+    assert edges.shape[0] > 10_000
+    assert edges.dtype == reference.dtype and edges.tobytes() == reference.tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
