@@ -29,6 +29,14 @@ mixed-radix code n^(k+1) would overflow int64 at n = 250k and k = 3.  The
 join's subface check and the eligibility tests of `soft_thin` and
 `downward_closed` all use this lookup.
 
+Every gather and mask on the build path is a `take` or a `compress`: they
+select the same elements in the same order as fancy indexing, and numpy 2.4
+runs them far faster on narrow tables (on a 2-vCPU Xeon VM, a (15000, 2)
+int64 table gathered 169 against 14 us, masked 166 against 19 us, and the
+points of 7,000 triangles gathered 239 against 19 us).  The oracles,
+`soft_thin`, `downward_closed` and `rips_bruteforce`, keep plain indexing on
+purpose, so the fast path and the code that checks it share no gather.
+
 The ball-intersection filter (dimensions 2..d) and the ball-flavor constants
 share one batched kernel, `_min_ball_radii`, for the smallest-enclosing-ball
 radius of a (count, m, d) block of tuples.  It enumerates the support
@@ -119,7 +127,7 @@ def _ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     group = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
     first = np.cumsum(sizes) - sizes
-    return group, np.arange(group.size, dtype=np.int64) - first[group]
+    return group, np.arange(group.size, dtype=np.int64) - first.take(group)
 
 
 def pairs_within_groups(starts: np.ndarray, counts: np.ndarray):
@@ -131,8 +139,8 @@ def pairs_within_groups(starts: np.ndarray, counts: np.ndarray):
     starts = np.asarray(starts, dtype=np.int64)
     counts = np.asarray(counts, dtype=np.int64)
     group, local = _ragged(counts)
-    rights_per_left = counts[group] - local - 1
-    lefts = np.repeat(starts[group] + local, rights_per_left)
+    rights_per_left = counts.take(group) - local - 1
+    lefts = np.repeat(starts.take(group) + local, rights_per_left)
     _, step = _ragged(rights_per_left)
     return lefts, lefts + step + 1
 
@@ -204,16 +212,17 @@ def _clique_join(prev_faces: np.ndarray, codes: list, n: int, complete: bool):
         return _empty_faces(width), np.empty(0, dtype=np.int64)
     starts, sizes = group_boundaries(codes[width - 1] // n)
     li, ri = pairs_within_groups(starts, sizes)
-    u = prev_faces[li, -1]
-    v = prev_faces[ri, -1]
+    last = prev_faces[:, -1]
+    u = last.take(li)
+    v = last.take(ri)
     ok = _find(codes[1], u * n + v)[0]
-    li = li[ok]
+    li = li.compress(ok)
     out = np.empty((li.size, width + 1), dtype=np.int64)
-    out[:, :-1] = prev_faces[li]
-    out[:, -1] = v[ok]
+    out[:, :-1] = prev_faces.take(li, axis=0)
+    out[:, -1] = v.compress(ok)
     if not complete:
         ok = _locate(codes, _subfaces(out, range(width - 1)), n)[0].all(axis=0)
-        out, li = out[ok], li[ok]
+        out, li = out.compress(ok, axis=0), li.compress(ok)
     return out, li
 
 
@@ -252,13 +261,13 @@ def build_complex(graph: GeometricGraph, k_max: int, flavor: str = "rips", rho=N
             rows, prefix = _clique_join(faces[-1], codes, n,
                                         complete and (flavor == "rips" or dim == 2))
             if flavor == "cech" and dim <= d:
-                keep = _min_ball_radii(graph.cloud.points[rows]) <= graph.r / 2.0
-                rows, prefix = rows[keep], prefix[keep]
+                keep = _min_ball_radii(graph.cloud.points.take(rows, axis=0)) <= graph.r / 2.0
+                rows, prefix = rows.compress(keep, axis=0), prefix.compress(keep)
         if rho is not None and rho[dim - 1] < 1.0 and rows.shape[0]:
             keep = uniform_coins(derive_seed(seed, FACE_COIN_STREAM, dim), rows) < rho[dim - 1]
             if dim >= 2 and not keep.all():
                 complete = False
-            rows, prefix = rows[keep], prefix[keep]
+            rows, prefix = rows.compress(keep, axis=0), prefix.compress(keep)
         faces.append(rows)
         codes.append(prefix * n + rows[:, -1])
     return SimplicialComplex(cloud=graph.cloud, faces_by_dim=tuple(faces), flavor=flavor,
@@ -456,13 +465,14 @@ class FaceCounts:
 
 def _leftmost_coordinates(points: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Coordinates of the lexicographically smallest vertex of each face."""
-    sub = points[faces]  # (m, width, d)
+    sub = points.take(faces, axis=0)  # (m, width, d)
     selectable = np.ones(sub.shape[:2], dtype=bool)
     for axis in range(sub.shape[2]):
         vals = np.where(selectable, sub[:, :, axis], np.inf)
         selectable &= vals == vals.min(axis=1)[:, None]
     first = selectable.argmax(axis=1)  # ties: lowest column = lowest vertex index
-    return sub[np.arange(sub.shape[0]), first]
+    first += np.arange(0, faces.size, faces.shape[1])  # its flat index in the table
+    return points.take(faces.take(first), axis=0)
 
 
 def face_counts(complex_: SimplicialComplex, region: RegionSpec = ALL_SPACE) -> FaceCounts:

@@ -9,8 +9,16 @@ quantises x_i - min x onto 2^(62 - b) steps across the span; each float
 step is monotone, so the keys sort the cloud up to runs of equal q, and the
 few runs whose labels contradict their values are re-sorted in place.  In
 d >= 2 one `cKDTree.query_pairs` call from scipy finds the pairs (a k-d
-tree; Bentley 1975).  Either way the sparse regime costs O(n log n +
-output) on average.
+tree; Bentley 1975).  The tree is built with ``balanced_tree=False``, which
+splits a node at the midpoint of its box and slides the split to the
+nearest point when one side would be empty (Maneewongvatana & Mount 1999),
+and with ``compact_nodes=False``, which keeps each node's box as its split
+left it rather than shrinking it to the node's points.  Neither changes
+which pairs pass, since every candidate meets the same closed float test.
+They skip the median selections and the per-node bounds pass, and on a
+2-vCPU VM the graphs of the d = 2 bench clouds (n = 3000 and 5000,
+r = 0.02) took about 20% less time than with the defaults.  Either way the
+sparse regime costs O(n log n + output) on average.
 Every path returns its edges sorted by the int64 code lo * n + hi.  A
 quadratic reference implementation is kept alongside as the correctness
 oracle.  scipy is imported inside the two calls that use it, so a d = 1 run
@@ -158,16 +166,26 @@ def _threshold_pairs_sweep(x: np.ndarray, r: float) -> np.ndarray:
 def threshold_pairs(points: np.ndarray, r: float) -> np.ndarray:
     """All pairs at distance <= r: a sort-and-sweep in d = 1, a k-d tree in d >= 2.
 
-    The tree is scipy's `cKDTree` with its default parameters; `query_pairs`
+    The tree is scipy's `cKDTree` with sliding-midpoint splits
+    (``balanced_tree=False``) and uncompacted node boxes
+    (``compact_nodes=False``), which build faster than the median splits and
+    tight boxes of its defaults and return the same pairs; `query_pairs`
     keeps a pair when its float squared distance is at most r * r, the
     oracle's closed test.  Coordinates must be finite; they are checked once
-    here, for every d.  The tree also needs the squared diagonal of the
-    cloud's bounding box to be a finite double, so a d >= 2 cloud beyond
-    that is refused here; the d = 1 sweep takes any finite cloud.
+    here, for every d.  So must r * r, or every pair would pass: a radius
+    above the square root of the largest double is refused in every d.  The
+    tree also needs the squared diagonal of the cloud's bounding box to be a
+    finite double, so a d >= 2 cloud beyond that is refused here; the d = 1
+    sweep takes any finite cloud.
     """
     n, d = points.shape
     if not np.isfinite(points).all():
         raise InputError("threshold graph needs finite coordinates")
+    if float(r) * float(r) == math.inf:
+        raise InputError(
+            "threshold graph needs the squared radius r * r to be at most the largest double,"
+            " 1.798e+308 (a radius of at most 1.341e+154); it overflows"
+        )
     if n < 2:
         return _NO_EDGES.copy()
     if d == 1:
@@ -182,7 +200,8 @@ def threshold_pairs(points: np.ndarray, r: float) -> np.ndarray:
         )
     from scipy.spatial import cKDTree
 
-    pairs = cKDTree(points).query_pairs(r, output_type="ndarray")
+    tree = cKDTree(points, balanced_tree=False, compact_nodes=False)
+    pairs = tree.query_pairs(r, output_type="ndarray")
     return _sort_pairs(pairs[:, 0], pairs[:, 1], n)
 
 

@@ -411,6 +411,21 @@ def test_build_complex_thins_as_soft_thin_does(case, flavor):
     assert downward_closed(built)
 
 
+@pytest.mark.parametrize("flavor", ["rips", "cech"])
+def test_build_complex_thins_as_soft_thin_does_at_bench_scale(flavor):
+    # thousands of rows per table, so the join, filter and coin gathers run on
+    # large prefix groups, which the small clouds above never reach
+    cloud = sample_binomial(4000, UNIT_2D, seed=44)
+    graph = build_graph(cloud, 0.02)
+    rho = (0.7, 0.7, 0.7)
+    built = build_complex(graph, 3, flavor, rho, seed=9)
+    oracle = soft_thin(build_complex(graph, 3, flavor), rho, seed=9)
+    assert built.faces_by_dim[3].shape[0] > 100
+    for rows, expected in zip(built.faces_by_dim, oracle.faces_by_dim, strict=True):
+        assert rows.shape == expected.shape and rows.tobytes() == expected.tobytes()
+    assert downward_closed(built)
+
+
 def test_build_complex_rejects_unknown_flavor():
     graph = build_graph(cloud_from([[0.0], [0.5]]), 1.0)
     with pytest.raises(ConfigurationError):

@@ -92,15 +92,41 @@ def clustered_with_outlier(rng, n, d):
     return pts
 
 
+def cloud_of_kind(kind, d, rng):
+    """1,500 or 2,000 points of one kind in d dimensions."""
+    if kind == "uniform":
+        return rng.random((2000, d))
+    if kind == "clustered":
+        return clustered_with_outlier(rng, 2000, d)
+    if kind == "lattice":  # coordinate ties and pairs exactly r apart
+        return rng.integers(0, 64 if d == 2 else 16, (2000, d)) / 8.0
+    if kind == "copies":  # 200 copies of one point, which no split can divide
+        pts = rng.random((2000, d))
+        pts[rng.choice(2000, 200, replace=False)] = pts[0]
+        return pts
+    if kind == "speck":  # a cluster 1e-9 wide and 50 outliers about 1e3 away
+        pts = 0.5 + 1e-9 * rng.random((1500, d))
+        pts[:50] = 1e3 * rng.standard_normal((50, d))
+        return pts
+    direction = np.arange(1.0, d + 1.0) / math.sqrt(d * (d + 1) * (2 * d + 1) / 6)
+    return -0.25 + rng.random((2000, 1)) * direction  # collinear
+
+
+DEGENERATE_RADII = {"lattice": [0.125, math.sqrt(2.0) / 8.0], "copies": [0.02, 0.08],
+                    "speck": [3e-11, 2e-10, 400.0], "collinear": [1e-4, 1e-3]}
+
+
 @pytest.mark.parametrize(("d", "r", "kind"), [
     (2, 0.005, "uniform"), (2, 0.08, "uniform"),
     (3, 0.02, "uniform"), (3, 0.15, "uniform"),
     (2, 0.001, "clustered"), (3, 0.004, "clustered"),
+    *[(d, r, kind) for d in (2, 3) for kind, radii in DEGENERATE_RADII.items() for r in radii],
 ])
 def test_threshold_pairs_match_bruteforce_on_fixed_clouds(d, r, kind):
-    # Sparse and dense ends at n = 2000; the outlier stretches the cloud far past the cluster.
-    rng = np.random.default_rng(2000 + 10 * d)
-    pts = rng.random((2000, d)) if kind == "uniform" else clustered_with_outlier(rng, 2000, d)
+    # Sparse and dense ends at n = 2000, where the tree splits many levels
+    # deep; the outliers stretch the cloud far past a cluster, and the
+    # degenerate kinds are the clouds a split rule finds hardest to divide.
+    pts = cloud_of_kind(kind, d, np.random.default_rng(2000 + 10 * d))
     edges = threshold_pairs(pts, r)
     reference = threshold_pairs_bruteforce(pts, r)
     assert edges.shape[0] > 0
@@ -146,6 +172,20 @@ def test_huge_span_plane_is_refused_with_the_limit():
         threshold_pairs(plane, 6.0)
     below = np.array([[0.0, 0.0], [5.0, 0.0], [1.3e154, 0.0]])
     assert threshold_pairs(below, 6.0).tolist() == [[0, 1]]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_radius_whose_square_overflows_is_refused_with_the_limit(d):
+    # r * r = inf would let every pair pass, two points 1e300 apart included
+    far = np.zeros((2, d))
+    far[1, 0] = 1e300
+    with pytest.raises(InputError, match=r"radius of at most 1\.341e\+154"):
+        threshold_pairs(far, 1e200)
+    with pytest.raises(InputError, match=r"radius of at most 1\.341e\+154"):
+        build_graph(cloud_from(far), 1e200)
+    near = np.zeros((3, d))
+    near[1, 0], near[2, 0] = 1e154, 1.2e154
+    assert threshold_pairs(near, 1e154).tolist() == [[0, 1], [1, 2]]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
