@@ -17,8 +17,8 @@ enclosing-ball kernel rounds a tuple and one of its facets to opposite sides
 of r/2.  In a lex-sorted table the prefix groups are contiguous and sorted
 and the last vertices increase inside a group, so the join emits its rows in
 lex order without a sort; every face table here is lex-sorted.  The join's
-pairs come from `pairs_within_groups`, built on one ragged-range primitive,
-`_ragged`, with no Python-level loop over faces.
+pairs come from `pairs_within_groups`, one run-length pass over the parents'
+non-decreasing prefix ranks, with no Python-level loop over faces.
 
 Faces are looked up by int64 row codes.  A k-face's code is (row index of
 its first k vertices among the (k-1)-faces) * n + its last vertex, and a
@@ -75,10 +75,6 @@ from .point_process import PointCloud
 from .rng import FACE_COIN_STREAM, derive_seed, uniform_coins
 
 
-def _empty_faces(dim: int) -> np.ndarray:
-    return np.empty((0, dim + 1), dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class SimplicialComplex:
     cloud: PointCloud
@@ -119,38 +115,18 @@ def _retention(rho, top: int) -> tuple:
     return rho
 
 
-def _ragged(sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group index and offset inside the group of every element of consecutive groups.
+def pairs_within_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """All position pairs (i, j), i < j, inside each equal-value run of a sorted key.
 
-    Group g holds ``sizes[g]`` elements, so both arrays have ``sizes.sum()``
-    entries and the offsets run 0 .. sizes[g] - 1 inside group g.
+    Row i pairs with the later rows of its run; the int64 pairs come in lex order.
     """
-    group = np.repeat(np.arange(sizes.size, dtype=np.int64), sizes)
-    first = np.cumsum(sizes) - sizes
-    return group, np.arange(group.size, dtype=np.int64) - first.take(group)
-
-
-def pairs_within_groups(starts: np.ndarray, counts: np.ndarray):
-    """All position pairs (i, j), i < j, inside each contiguous group.
-
-    ``starts[g]`` is the first position of group g and ``counts[g]`` its
-    size; positions are returned relative to the underlying sorted array.
-    """
-    starts = np.asarray(starts, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
-    group, local = _ragged(counts)
-    rights_per_left = counts.take(group) - local - 1
-    lefts = np.repeat(starts.take(group) + local, rights_per_left)
-    _, step = _ragged(rights_per_left)
-    return lefts, lefts + step + 1
-
-
-def group_boundaries(sorted_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start offsets and sizes of the equal-value runs of a sorted array."""
-    n = sorted_keys.shape[0]
-    change = np.flatnonzero(sorted_keys[1:] != sorted_keys[:-1]) + 1
-    starts = np.concatenate([[0], change]).astype(np.int64)
-    return starts, np.diff(np.concatenate([starts, [n]])).astype(np.int64)
+    m = key.shape[0]
+    change = np.flatnonzero(key[1:] != key[:-1]) + 1
+    ends = np.repeat(np.append(change, m), np.diff(change, prepend=0, append=m))
+    rights_per_left = ends - np.arange(m, dtype=np.int64) - 1
+    lefts = np.repeat(np.arange(m, dtype=np.int64), rights_per_left)
+    first = np.cumsum(rights_per_left) - rights_per_left  # each left's first pair
+    return lefts, np.arange(lefts.size, dtype=np.int64) - first.take(lefts) + lefts + 1
 
 
 def _find(table: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -191,13 +167,16 @@ def _subfaces(faces: np.ndarray, drops) -> np.ndarray:
     return faces.T[np.array(keep, dtype=np.intp).T]
 
 
-def _clique_join(prev_faces: np.ndarray, codes: list, n: int, complete: bool):
+def _clique_join(prev_faces: np.ndarray, prev_prefix: np.ndarray, codes: list, n: int,
+                 complete: bool):
     """(t+1)-faces joined from lex-sorted t-faces, and each one's prefix rank.
 
-    ``codes`` holds the row codes of the faces up to dimension t.  Two
-    t-faces sharing their first t vertices give a candidate when the edge
-    between their last vertices is in ``codes[1]``.  Unless ``complete``, the
-    candidate must also find its other t subfaces among the t-faces.
+    ``prev_prefix`` holds each t-face's rank of its first t vertices among
+    the (t-1)-faces, non-decreasing in a lex-sorted table, and ``codes`` the
+    row codes of the faces up to dimension t.  Two t-faces with one prefix
+    rank give a candidate when the edge between their last vertices is in
+    ``codes[1]``.  Unless ``complete``, the candidate must also find its other
+    t subfaces among the t-faces.
     ``complete`` says a missing subface dooms the candidate anyway: the
     t-faces are every (t+1)-clique of those edges, as they are for Rips until
     a coin removes a face of dimension >= 2.  The ball flavour is never
@@ -207,14 +186,10 @@ def _clique_join(prev_faces: np.ndarray, codes: list, n: int, complete: bool):
     contiguous and sorted and last vertices increase inside a group, so pair
     order is lex order and the rows come out lex-sorted.
     """
-    m, width = prev_faces.shape
-    if m < 2:
-        return _empty_faces(width), np.empty(0, dtype=np.int64)
-    starts, sizes = group_boundaries(codes[width - 1] // n)
-    li, ri = pairs_within_groups(starts, sizes)
+    width = prev_faces.shape[1]
+    li, ri = pairs_within_groups(prev_prefix)
     last = prev_faces[:, -1]
-    u = last.take(li)
-    v = last.take(ri)
+    u, v = last.take(li), last.take(ri)
     ok = _find(codes[1], u * n + v)[0]
     li = li.compress(ok)
     out = np.empty((li.size, width + 1), dtype=np.int64)
@@ -258,7 +233,7 @@ def build_complex(graph: GeometricGraph, k_max: int, flavor: str = "rips", rho=N
             # (Helly), and up to d the kernel may round a tuple and a facet
             # to opposite sides of r/2.  At dimension 2 the one facet that is
             # not a parent is the closing edge, which the join checks anyway.
-            rows, prefix = _clique_join(faces[-1], codes, n,
+            rows, prefix = _clique_join(faces[-1], prefix, codes, n,
                                         complete and (flavor == "rips" or dim == 2))
             if flavor == "cech" and dim <= d:
                 keep = _min_ball_radii(graph.cloud.points.take(rows, axis=0)) <= graph.r / 2.0

@@ -435,9 +435,9 @@ def regime_check(n: float, r: float, d: int, rho, mode: tuple[str, int],
     growth quantity one dimension up to vanish, so faces above dimension l
     disappear.
     """
-    kind, level = mode
-    if kind not in ("fk", "chi"):
+    if not (isinstance(mode, (tuple, list)) and len(mode) == 2 and mode[0] in ("fk", "chi")):
         raise InputError(f"mode must be ('fk', k) or ('chi', l), got {mode}")
+    kind, level = mode
     level = count(level, f"{kind} mode level")
     d = count(d, "d", 1)
     n, r = real(n, "n", 0), real(r, "r")  # r < 0 fails in _log_or_zero

@@ -73,12 +73,13 @@ class ExperimentConfig:
                                                     ConfigurationError))
         if self.rho is not None and self.rho_exponents is not None:
             raise ConfigurationError("give at most one of rho / rho_exponents")
-        if self.statistic[0] == "fk" and len(self.statistic) == 2:
-            k = count(self.statistic[1], "statistic k", 0, ConfigurationError)
+        statistic = tuple(self.statistic) if isinstance(self.statistic, (tuple, list)) else ()
+        if len(statistic) == 2 and statistic[0] == "fk":
+            k = count(statistic[1], "statistic k", 0, ConfigurationError)
             if k > self.k_max:
                 raise ConfigurationError(f"statistic ('fk', k) requires k <= k_max, got k={k}")
             object.__setattr__(self, "statistic", ("fk", k))
-        elif tuple(self.statistic) != ("chi",):
+        elif statistic != ("chi",):
             raise ConfigurationError("statistic must be ('fk', k) or ('chi',)")
         density = self.density
         if density is None:

@@ -3,7 +3,10 @@
 A correct builder has invariances at every size that no brute-force oracle
 reaches past a few dozen points.  Clouds are small, random or on a lattice
 of step 1/4, where coordinate ties, coincident points, edges exactly r long
-and enclosing balls of radius exactly r/2 all occur.
+and enclosing balls of radius exactly r/2 all occur.  The thinned cases
+draw one retention vector and seed for both sides of a comparison; the
+coins see only (seed, dimension, vertex tuple), so every property that
+holds unthinned holds thinned.
 """
 
 import numpy as np
@@ -32,6 +35,18 @@ def clouds(draw):
 
 
 FLAVORS = st.sampled_from(["rips", "cech"])
+# None builds unthinned; a vector thins dimensions 1..4, enough for every k_max drawn
+RHOS = st.one_of(st.none(), st.lists(st.sampled_from([0.0, 0.3, 0.7, 1.0]), min_size=4,
+                                     max_size=4))
+
+
+def rows_of(complex_):
+    return [set(map(tuple, faces.tolist())) for faces in complex_.faces_by_dim]
+
+
+def assert_subcomplex(small, big):
+    for dim, (inner, outer) in enumerate(zip(rows_of(small), rows_of(big))):
+        assert inner <= outer, f"dimension {dim}: {sorted(inner - outer)[:3]}"
 
 
 @settings(max_examples=150)
@@ -58,3 +73,45 @@ def test_truncation_keeps_the_lower_tables(case, flavor, k_max, rho, seed):
     assert len(truncated.faces_by_dim) == k_max
     for lower, upper in zip(truncated.faces_by_dim, full.faces_by_dim):
         assert np.array_equal(lower, upper)
+
+
+@settings(max_examples=150)
+@given(case=clouds(), flavor=FLAVORS, k_max=st.integers(1, 4), rho=RHOS,
+       seed=st.integers(0, 2**32))
+def test_reflection_leaves_every_table_unchanged(case, flavor, k_max, rho, seed):
+    cloud, r = case
+    original = build_complex(build_graph(cloud, r), k_max, flavor, rho, seed)
+    # negation is exact, and so is every difference, square and sum after it
+    reflected = build_complex(build_graph(cloud_from(-cloud.points), r), k_max, flavor, rho, seed)
+    for faces, mirrored in zip(original.faces_by_dim, reflected.faces_by_dim):
+        assert np.array_equal(mirrored, faces)
+
+
+@settings(max_examples=150)
+@given(case=clouds(), flavor=FLAVORS, k_max=st.integers(1, 4), rho=RHOS,
+       seed=st.integers(0, 2**32), factor=st.sampled_from([1.0, 1.25, 1.5, 2.0]))
+def test_complexes_nest_in_r(case, flavor, k_max, rho, seed, factor):
+    cloud, r = case
+    small = build_complex(build_graph(cloud, r), k_max, flavor, rho, seed)
+    assert_subcomplex(small, build_complex(build_graph(cloud, factor * r), k_max, flavor, rho,
+                                           seed))
+
+
+@settings(max_examples=150)
+@given(case=clouds(), k_max=st.integers(1, 4), rho=RHOS, seed=st.integers(0, 2**32))
+def test_jung_sandwich_between_rips_and_cech(case, k_max, rho, seed):
+    """Rips(r) lies in Cech(r * sqrt(2d / (d + 1))), with equality in d = 1.
+
+    Jung's theorem: a set of diameter r in R^d lies in a ball of radius
+    r * sqrt(d / (2 (d + 1))).  The relative slack 1e-12 on the larger radius
+    covers rounding.
+    """
+    cloud, r = case
+    d = cloud.dimension
+    rips = build_complex(build_graph(cloud, r), k_max, "rips", rho, seed)
+    wide = r * np.sqrt(2.0 * d / (d + 1)) * (1.0 + 1e-12)
+    assert_subcomplex(rips, build_complex(build_graph(cloud, wide), k_max, "cech", rho, seed))
+    if d == 1:  # Helly: intervals meet iff they meet pairwise
+        cech = build_complex(build_graph(cloud, r), k_max, "cech", rho, seed)
+        for faces, ball in zip(rips.faces_by_dim, cech.faces_by_dim):
+            assert np.array_equal(ball, faces)

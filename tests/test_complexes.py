@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 from dataclasses import replace
@@ -25,7 +26,7 @@ from softplex import (
     sample_binomial,
     soft_thin,
 )
-from softplex.complexes import _min_ball_radii
+from softplex.complexes import _find, _min_ball_radii, pairs_within_groups
 from softplex.rng import FACE_COIN_STREAM, derive_seed, uniform_coins
 
 UNIT_1D = UniformBox(lo=[0.0], hi=[1.0])
@@ -535,3 +536,28 @@ def test_euler_characteristic_examples():
     assert euler_characteristic(FaceCounts(f=(1,), region=region)) == 1
     assert euler_characteristic(FaceCounts(f=(3, 3, 1), region=region)) == 1
     assert euler_characteristic(FaceCounts(f=(3, 3, 0), region=region)) == 0
+
+
+@settings(max_examples=300)
+@given(sizes=st.lists(st.integers(0, 6), max_size=12))
+def test_pairs_within_groups_match_double_loop(sizes):
+    # runs of 0..6 rows cover the empty key, absent values and singletons
+    key = np.repeat(np.arange(len(sizes), dtype=np.int64) * 3 - 7, sizes)
+    starts = np.cumsum(sizes) - sizes
+    expected = [(s + a, s + b) for s, c in zip(starts.tolist(), sizes)
+                for a in range(c) for b in range(a + 1, c)]
+    lefts, rights = pairs_within_groups(key)
+    assert lefts.dtype == rights.dtype == np.int64
+    assert list(zip(lefts.tolist(), rights.tolist())) == expected
+
+
+@settings(max_examples=300)
+@given(table=st.sets(st.integers(-20, 20), max_size=10),
+       keys=st.lists(st.integers(-25, 25), max_size=12), rows=st.integers(1, 3))
+def test_find_matches_bisect(table, keys, rows):
+    table = sorted(table)
+    queries = np.array(keys * rows, dtype=np.int64).reshape(rows, len(keys))
+    hit, index = _find(np.array(table, dtype=np.int64), queries)
+    assert hit.shape == index.shape == queries.shape
+    assert hit.tolist() == [[key in table for key in keys]] * rows
+    assert index.tolist() == [[bisect.bisect_left(table, key) for key in keys]] * rows

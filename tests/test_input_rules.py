@@ -143,6 +143,12 @@ REFUSED = {
     "kolmogorov-threshold-zero": lambda: kolmogorov_threshold(0),  # ZeroDivisionError
     "kolmogorov-threshold-negative": lambda: kolmogorov_threshold(-1),  # math domain error
     "kolmogorov-threshold-fraction": lambda: kolmogorov_threshold(2.5),  # returned a number
+    "experiment-statistic-empty": lambda: experiment(statistic=()),  # IndexError
+    "experiment-statistic-none": lambda: experiment(statistic=None),  # TypeError
+    # the two rows below raised a bare ValueError
+    "regime-mode-without-level": lambda: regime_check(100, 0.1, 1, (1.0,), ("chi",)),
+    "regime-mode-three-entries": lambda: regime_check(100, 0.1, 1, (1.0,), ("fk", 1, 2)),
+    "regime-mode-none": lambda: regime_check(100, 0.1, 1, (1.0,), None),  # TypeError
     "regime-sparse-threshold-nan": lambda: regime_check(100, 0.1, 1, (1.0,), ("fk", 1),
                                                         sparse_threshold=math.nan),
     "regime-growth-threshold-inf": lambda: regime_check(100, 0.1, 1, (1.0,), ("fk", 1),
