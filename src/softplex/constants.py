@@ -27,9 +27,13 @@ also runs `run_experiment`'s replications).  A shard's tuples are tested in
 cache-sized blocks of origin-prefixed (m + 1, d, rows) coordinate
 planes (`_inner_worker`); on whole-shard (size, m, d) rows each pass would
 be an inner loop of d elements over arrays of millions of doubles, bound by
-memory.  Blocks change how the work is cut, not a value: every step is
-elementwise or per tuple, so the block length is a constant set by the
-cache, not a parameter.  Squared lengths are summed in np.einsum's order
+memory.  A block draws only its own slices of the shard's stream: Philox is
+counter-based, so a generator can start at any double (`_stream_at`), and a
+Box-Muller normal depends on its own pair only.  A worker thus holds a few
+buffers of at most _BLOCK tuples, allocated once per shard, whatever the
+number of samples.  Blocks change how the work is cut, not a value: every
+step is elementwise or per tuple, so the block length is a constant set by
+the cache, not a parameter.  Squared lengths are summed in np.einsum's order
 (`_sum_of_squares`), as in the row-wise code.
 
 The closed-form side evaluates predicted means, variances, and covariances
@@ -55,7 +59,7 @@ from .complexes import _min_ball_radii, _retention
 from .densities import Density
 from .errors import ConfigurationError, InputError, count, real
 from .geometry import ALL_SPACE, RegionSpec
-from .rng import MC_INNER_STREAM, box_muller, box_muller_radii, generator
+from .rng import MC_INNER_STREAM, box_muller, generator
 
 # points per shard (a shard holds _SHARD // m tuples of m points); shards are
 # fixed, so results never depend on threads
@@ -171,54 +175,120 @@ def _admissible(planes: np.ndarray, member_lists, flavor: str) -> np.ndarray:
             for a, b in combinations(members, 2):
                 ok &= _sum_of_squares(planes[b] - planes[a]) <= 1.0
         else:
-            ok &= _min_ball_radii(planes[list(members)].transpose(2, 0, 1)) <= 0.5
+            # a prefix list (every face constant's) is a view: no copy per block
+            prefix = members == tuple(range(len(members)))
+            tuples = planes[:len(members)] if prefix else planes[list(members)]
+            ok &= _min_ball_radii(tuples.transpose(2, 0, 1)) <= 0.5
     return ok
+
+
+def _stream_at(seed: int, index: int, start: int) -> np.random.Generator:
+    """Shard ``index``'s generator placed at double ``start`` of its stream.
+
+    Philox is counter-based and yields four doubles per counter step
+    (Salmon et al. 2011), so the generator advances start // 4 steps and
+    discards start % 4 doubles.  Reads from there continue the stream.
+    """
+    rng = generator(seed, MC_INNER_STREAM, index)
+    rng.bit_generator.advance(start // 4)
+    rng.random(start % 4)
+    return rng
 
 
 def _inner_worker(m: int, d: int, member_lists, flavor: str, seed: int):
     """Shard worker of the unit-scale indicator integral over (R^d)^m.
 
-    A shard draws its uniforms for the whole shard, in the stream's fixed
-    order: for d >= 2 the Box-Muller pairs u1 and u2 of size * m
-    directions, then one radius draw per point; for d = 1 one coordinate per
-    point.  The Box-Muller radii of u1 are taken once, over the whole shard.
-    Everything else runs on blocks of at most _BLOCK tuples: a block's
-    normals, scaled into the unit ball, become origin-prefixed
-    (m + 1, d, rows) coordinate planes, and its tuples are tested on those
-    planes.  The blocks split a shard evenly, so a block holds one tuple
-    only when its shard does: from d = 3 on, the enclosing-ball kernel's
-    einsums add the coordinates of a one-tuple block in another order.
+    A shard's stream holds, for d = 1, one coordinate per point.  For d >= 2
+    it holds the Box-Muller pairs of size * m * d normals, u1 as doubles
+    [0, P) and u2 as [P, 2P) with P = ceil(size * m * d / 2), then one radius
+    draw per point; normal i < P is the cosine of pair i and normal P + i its
+    sine.  Tuple t takes normals t * m * d onwards and radius draws t * m
+    onwards.  The worker draws only the slice of the stream that the block at
+    hand needs, so its working set is a few buffers of at most _BLOCK tuples,
+    allocated once per shard and independent of the shard size.
+
+    d = 1 reads its coordinates in order, one even block at a time.  d >= 2
+    walks the pairs in chunks aligned to the cosine half's tuples and maps
+    each pair once: a chunk gives whole cosine tuples, and its sines extend
+    the sine half, whose last partial tuple (fewer than m * d normals) waits
+    for the next chunk.  The tuple that straddles P, for an odd size, takes
+    its first sines from the first chunk and is assembled in the last.  A
+    chunk's cosine and sine tuples form one block of at most _BLOCK tuples,
+    at least two unless the shard holds one: from d = 3 on, einsum adds the
+    coordinates of a one-tuple block in another order.  A block's normals,
+    scaled into the unit ball, become origin-prefixed (m + 1, d, rows)
+    coordinate planes, and its tuples are tested on those planes.  Blocks
+    hold tuples out of order, which a count of hits does not see.
     """
+    md = m * d
 
     def worker(index: int, size: int):
-        rng = generator(seed, MC_INNER_STREAM, index)
+        most = min(_BLOCK, size)  # tuples in a block
+        plane_buf = np.empty((m + 1) * d * most)
+        draws = np.empty(most * m)  # a block's coordinates (d = 1) or radius draws
+        hits = 0
+
+        def planes_of(rows: int) -> np.ndarray:
+            planes = plane_buf[:(m + 1) * d * rows].reshape(m + 1, d, rows)
+            planes[0] = 0.0
+            return planes
+
         if d == 1:
-            coords = rng.random(size * m)
-        else:
-            pairs = (size * m * d + 1) // 2
-            lengths = box_muller_radii(rng.random(pairs))  # from u1, in place
-            u2 = rng.random(pairs)
-            radii = rng.random(size * m)
-        ok = np.empty(size, dtype=bool)
-        blocks = -(-size // _BLOCK)
-        for part in range(blocks):
-            lo, hi = part * size // blocks, (part + 1) * size // blocks
-            rows = hi - lo
-            planes = np.zeros((m + 1, d, rows))
-            points = planes[1:]  # (m, d, rows); point a of tuple t is draw (lo + t) * m + a
-            if d == 1:
-                points[:, 0] = coords[lo * m:hi * m].reshape(rows, m).T
-                points *= 2.0
-                points -= 1.0
-            else:
-                normals = box_muller(lengths, u2, lo * m * d, np.empty(rows * m * d))
-                points[...] = normals.reshape(rows, m, d).transpose(1, 2, 0)
-                norms = np.sqrt(_sum_of_squares(points.transpose(1, 0, 2)))
-                norms[norms == 0] = 1.0
-                scale = (radii[lo * m:hi * m] ** (1.0 / d)).reshape(rows, m).T / norms
-                points *= scale[:, None, :]
-            ok[lo:hi] = _admissible(planes, member_lists, flavor)
-        return float(ok.sum())
+            rng = generator(seed, MC_INNER_STREAM, index)
+            blocks = -(-size // _BLOCK)
+            for part in range(blocks):
+                rows = (part + 1) * size // blocks - part * size // blocks
+                planes = planes_of(rows)
+                coords = rng.random(out=draws[:rows * m])  # point a of tuple t is t * m + a
+                np.multiply(coords.reshape(rows, m).T, 2.0, out=planes[1:, 0])
+                planes[1:] -= 1.0
+                hits += np.count_nonzero(_admissible(planes, member_lists, flavor))
+            return float(hits)
+
+        pairs = (size * md + 1) // 2
+        half = pairs // md  # tuples wholly in the cosine half
+        first_sine = half + size % 2  # of an odd size, tuple `half` straddles P
+        head = first_sine * md - pairs  # the straddling tuple's sines
+        with_sine = size * md - pairs  # pairs whose sine is a normal
+        # chunks of first-half tuples; a chunk of c completes c sine tuples,
+        # the first chunk of an odd size c - 1
+        cuts = [0, *range((_BLOCK + size % 2) // 2, first_sine, _BLOCK // 2), first_sine]
+        span = max(min(b * md, pairs) - a * md for a, b in zip(cuts, cuts[1:]))
+        cosines, sines = np.empty(span + md), np.empty(span + md)
+        scratch, straddle = np.empty(span), np.empty(head)
+        u1, u2 = _stream_at(seed, index, 0), _stream_at(seed, index, pairs)
+        cos_radii = _stream_at(seed, index, 2 * pairs)
+        sin_radii = _stream_at(seed, index, 2 * pairs + first_sine * m)
+        carry = 0  # sines of the next sine tuple, held at the front of `sines`
+        for a, b in zip(cuts, cuts[1:]):
+            s, e = a * md, min(b * md, pairs)
+            box_muller(u1.random(out=cosines[:e - s]),
+                       u2.random(out=sines[carry:carry + e - s]), scratch[:e - s])
+            held = carry + min(e, with_sine) - s  # sines now in `sines`
+            skip = head if a == 0 else 0
+            straddle[:skip] = sines[:skip]
+            if b == first_sine:
+                cosines[e - s:e - s + head] = straddle
+            n_cos, n_sin = b - a, (held - skip) // md
+            used = skip + n_sin * md
+            rows = n_cos + n_sin
+            planes = planes_of(rows)
+            points = planes[1:]
+            by_tuple = points.transpose(2, 0, 1)  # (rows, m, d)
+            by_tuple[:n_cos] = cosines[:n_cos * md].reshape(n_cos, m, d)
+            by_tuple[n_cos:] = sines[skip:used].reshape(n_sin, m, d)
+            radii = draws[:rows * m]
+            cos_radii.random(out=radii[:n_cos * m])
+            sin_radii.random(out=radii[n_cos * m:])
+            radii **= 1.0 / d
+            norms = np.sqrt(_sum_of_squares(points.transpose(1, 0, 2)))
+            norms[norms == 0] = 1.0
+            np.divide(radii.reshape(rows, m).T, norms, out=norms)  # the scale
+            points *= norms[:, None, :]
+            hits += np.count_nonzero(_admissible(planes, member_lists, flavor))
+            carry = held - used
+            sines[:carry] = sines[used:held]
+        return float(hits)
 
     return worker
 

@@ -51,41 +51,36 @@ def generator(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=derive_seed(seed, *path)))
 
 
-def box_muller_radii(u1: np.ndarray) -> np.ndarray:
-    """The Box-Muller radii sqrt(-2 log(1 - u1)), computed in place over u1."""
+def box_muller(u1: np.ndarray, u2: np.ndarray, scratch: np.ndarray | None = None) -> None:
+    """Map the uniform pairs (u1[i], u2[i]) in place to their two Box-Muller normals.
+
+    u1[i] becomes R cos(2 pi u2[i]) and u2[i] becomes R sin(2 pi u2[i]), with
+    R = sqrt(-2 log(1 - u1[i])) (Box & Muller 1958).  Every normal depends on
+    its own pair only, so a caller may map a stream's pairs a chunk at a time.
+    ``scratch``, an array of the same length, holds the cosines in between; it
+    is allocated when None.
+    """
     np.negative(u1, out=u1)
     np.log1p(u1, out=u1)  # 1 - u1 in (0, 1], log finite
     u1 *= -2.0
-    return np.sqrt(u1, out=u1)
-
-
-def box_muller(radii: np.ndarray, u2: np.ndarray, start: int, out: np.ndarray) -> np.ndarray:
-    """Normals start .. start + out.size - 1 of the Box-Muller sequence of (radii, u2).
-
-    radii is box_muller_radii(u1).  The sequence holds 2 * len(radii)
-    normals (Box & Muller 1958): normal i is radii[i] * cos(2 pi u2[i]) for
-    i < len(radii), and normal len(radii) + i is the sine of the same pair.
-    Computing a range at a time lets a caller work on cache-sized blocks;
-    every value depends on its own pair only, so any split gives the same
-    normals.
-    """
-    pairs = radii.shape[0]
-    cut = min(max(pairs - start, 0), out.shape[0])  # normals of out from the cosine half
-    for trig, part, first in ((np.cos, out[:cut], start), (np.sin, out[cut:], start + cut - pairs)):
-        if part.size:
-            stop = first + part.size
-            np.multiply(u2[first:stop], 2.0 * np.pi, out=part)
-            trig(part, out=part)
-            part *= radii[first:stop]
-    return out
+    np.sqrt(u1, out=u1)
+    u2 *= 2.0 * np.pi
+    cosines = np.cos(u2, out=scratch)
+    np.sin(u2, out=u2)
+    u2 *= u1
+    np.multiply(cosines, u1, out=u1)
 
 
 def standard_normals(rng: np.random.Generator, count: int) -> np.ndarray:
-    """Box-Muller normals driven by the uniform stream of ``rng``."""
+    """``count`` Box-Muller normals: the cosine normals of ``(count + 1) // 2`` pairs drawn
+    as u1 then u2 from ``rng``, followed by their sine normals."""
     pairs = (count + 1) // 2
-    u1 = rng.random(pairs)
-    u2 = rng.random(pairs)
-    return box_muller(box_muller_radii(u1), u2, 0, np.empty(count))
+    normals = np.empty(2 * pairs)
+    u1, u2 = normals[:pairs], normals[pairs:]
+    rng.random(out=u1)
+    rng.random(out=u2)
+    box_muller(u1, u2)
+    return normals[:count]
 
 
 _U30, _U27, _U31, _U11 = (np.uint64(shift) for shift in (30, 27, 31, 11))

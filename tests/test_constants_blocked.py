@@ -15,6 +15,7 @@ f(x)^m over the region, x ~ f.  It stays as a statistical oracle for
 """
 
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -295,7 +296,9 @@ def test_a_three_point_list_still_draws_and_tests_only_itself(kind, d):
     value, stderr = row_wise_estimate(kind, 2, 1, 1, d, density, ALL_SPACE, 5000, d,
                                       constants._SHARD)
     assert (est.value, est.stderr, est.samples) == (value, stderr, 5000)
-    assert drawn.call_count == 1 and stderr > 0.0
+    # one shard: every generator, wherever it starts, is shard 0's stream
+    assert drawn.call_args_list and stderr > 0.0
+    assert all(call == mock.call(d, MC_INNER_STREAM, 0) for call in drawn.call_args_list)
     assert tested and all(lists == [(0, 1, 2)] for lists in tested)
 
 
@@ -321,21 +324,65 @@ def test_closed_density_factor_agrees_with_the_sampled_one(data, d, power, seed)
 def test_enclosing_ball_radii_equal_the_row_wise_ones(d, k, block, whole, rest, seed):
     # an indicator hides a last-bit change in a radius, so compare the radii:
     # a block of one tuple (rest = 1 after whole blocks) would take another
-    # summation order in d >= 3
+    # summation order in d >= 3.  Blocks hold tuples out of order, so each
+    # radius is keyed by its tuple's coordinate bytes
     samples = block * whole + rest
-    radii = []
+    tested = {}
+    sizes = []
 
     def recording(tuples):
-        radii.append(_min_ball_radii(tuples))
-        return radii[-1]
+        radii = _min_ball_radii(tuples)
+        sizes.append(len(radii))
+        for row, radius in zip(tuples, radii):
+            tested.setdefault(row.tobytes(), []).append(radius.tobytes())
+        return radii
 
     with mock.patch.multiple(constants, _BLOCK=block, _min_ball_radii=recording):
         estimate_nu(k, d, UniformBox([0.0] * d, [1.0] * d), samples=samples, seed=seed,
                     threads=1)
     rng = generator(seed, MC_INNER_STREAM, 0)
     points = row_wise_unit_ball(rng, samples * k, d).reshape(samples, k, d)
-    want = _min_ball_radii(np.concatenate([np.zeros((samples, 1, d)), points], axis=1))
-    assert np.concatenate(radii).tobytes() == want.tobytes()
+    tuples = np.concatenate([np.zeros((samples, 1, d)), points], axis=1)
+    want = _min_ball_radii(tuples)
+    assert sum(sizes) == samples and all(2 <= size <= block for size in sizes)
+    assert {row.tobytes(): [radius.tobytes()] for row, radius in zip(tuples, want)} == tested
+
+
+STREAM = 1000  # doubles of the whole read the placed streams are checked against
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2**32), index=st.integers(0, 3),
+       start=st.one_of(st.integers(0, 5), st.just(STREAM - 1),
+                       st.builds(lambda j, off: 4 * j + off, st.integers(1, 249),
+                                 st.sampled_from([-1, 1]))),
+       length=st.integers(1, 9), cuts=st.lists(st.integers(0, STREAM), max_size=5))
+def test_a_placed_stream_reads_the_slice_of_the_whole_stream(seed, index, start, length, cuts):
+    # the worker reads every slice through a generator placed at its first
+    # double, then continues it with random(out=) reads of any length
+    whole = generator(seed, MC_INNER_STREAM, index).random(STREAM)
+    placed = constants._stream_at(seed, index, start).random(min(length, STREAM - start))
+    assert placed.tobytes() == whole[start:start + placed.size].tobytes()
+    bounds = [start, *sorted(cut for cut in cuts if cut > start), STREAM]
+    rng, read = constants._stream_at(seed, index, start), np.empty(STREAM - start)
+    for lo, hi in zip(bounds, bounds[1:]):
+        rng.random(out=read[lo - start:hi - start])
+    assert read.tobytes() == whole[start:].tobytes()
+
+
+@pytest.mark.parametrize("samples", [200_000, 1_000_000])
+def test_the_working_set_does_not_grow_with_the_samples(samples):
+    # a shard draws its stream a block at a time into buffers of at most
+    # _BLOCK tuples, so the peak of mu_3's arrays in d = 2 does not follow
+    # the count (about 2 MiB on numpy 2.4)
+    density = UniformBox([0.0] * 2, [1.0] * 2)
+    tracemalloc.start()
+    try:
+        estimate_mu(3, 2, density, samples=samples, seed=2, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 1000])
