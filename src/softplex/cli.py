@@ -29,10 +29,11 @@ import numpy as np
 from .complexes import build_complex
 from .constants import _estimate, regime_check
 from .densities import UniformBox, GaussianIsotropic, density_from_config
-from .errors import ConfigurationError, MemoryGuardError, SoftplexError, count
+from .errors import (ConfigurationError, DegenerateSampleError, MemoryGuardError,
+                     SoftplexError, count)
 from .geometry import ALL_SPACE, build_graph, region_from_config
-from .experiments import (ReplicationResult, clt_report, config_from_dict, run_experiment,
-                          statistic_samples)
+from .experiments import (ReplicationResult, clt_report, config_from_dict, normalize,
+                          run_experiment, statistic_samples)
 from .point_process import sample_binomial, sample_poisson
 
 log = logging.getLogger("softplex")
@@ -213,7 +214,10 @@ def _cmd_experiment_report(args) -> int:
     results = _read_results_csv(args.results, _results_header(config.k_max))
     report = clt_report(results, config)
     z = np.sort(statistic_samples(results, config))
-    z = (z - z.mean()) / z.std() if z.std() > 0 else z * 0.0
+    try:
+        z = normalize(z)
+    except DegenerateSampleError:
+        z *= 0.0  # a negative constant statistic writes -0.0
     theoretical = ndtri((np.arange(1, len(z) + 1) - 0.5) / len(z))
     _write_json(args.out, {"config": config.to_config(), "report": report.to_json()})
     qq_path = os.path.splitext(args.out)[0] + ".qq.csv"

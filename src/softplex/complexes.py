@@ -34,8 +34,11 @@ select the same elements in the same order as fancy indexing, and numpy 2.4
 runs them far faster on narrow tables (on a 2-vCPU Xeon VM, a (15000, 2)
 int64 table gathered 169 against 14 us, masked 166 against 19 us, and the
 points of 7,000 triangles gathered 239 against 19 us).  The oracles,
-`soft_thin`, `downward_closed` and `rips_bruteforce`, keep plain indexing on
-purpose, so the fast path and the code that checks it share no gather.
+`soft_thin`, `downward_closed` and `rips_bruteforce`, keep plain indexing for
+their own gathers.  But `soft_thin` and `downward_closed` look faces up
+through the build's row-code lookup, `_locate`, `_find` (a `take`) and
+`_subfaces`, so only `rips_bruteforce` and the property suite check that
+lookup independently.
 
 The ball-intersection filter (dimensions 2..d) and the ball-flavor constants
 share one batched kernel, `_min_ball_radii`, for the smallest-enclosing-ball

@@ -6,8 +6,9 @@ the sorted order offset by offset: a position stays a candidate for offset
 k only while its pair at offset k - 1 was within r.  The order comes from
 one sort of int64 keys (q_i << b) | i, b = n.bit_length(), where q_i
 quantises x_i - min x onto 2^(62 - b) steps across the span; each float
-step is monotone, so the keys sort the cloud up to runs of equal q, and the
-few runs whose labels contradict their values are re-sorted in place.  In
+step is monotone, so the keys sort the cloud up to runs of equal q; one
+check of the gaps finds a run whose labels contradict its values, and one
+stable argsort of the nearly sorted values then finishes the order.  In
 d >= 2 one `cKDTree.query_pairs` call from scipy finds the pairs (a k-d
 tree; Bentley 1975).  The tree is built with ``balanced_tree=False``, which
 splits a node at the midpoint of its box and slides the split to the
@@ -84,36 +85,29 @@ def threshold_pairs_bruteforce(points: np.ndarray, r: float) -> np.ndarray:
     return _sort_pairs(ii.astype(np.int64), jj.astype(np.int64), n)
 
 
-def _quanta(v: np.ndarray, lo: float, scale: float) -> np.ndarray:
-    """trunc((v - lo) * scale) as int64; zeros for scale 0."""
-    if not scale:
-        return np.zeros(v.size, dtype=np.int64)
-    q = v - lo
-    q *= scale
-    return q.astype(np.int64)
-
-
 def _sorted_order(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The order that sorts a 1-d cloud, with the sorted values and their offset-1 gaps.
 
-    One ``sort`` of the int64 keys (q_i << b) | i, b = n.bit_length(), where
-    q_i = trunc((x_i - min x) * 2^(62 - b) / span) is at most 2^(62 - b) up
-    to rounding, so the keys stay below 2^63.  Subtraction, multiplication
-    and truncation are each monotone, so x_i < x_j gives q_i <= q_j: the
-    keys sort the cloud except inside a run of equal q, where the labels
-    break the tie.  A negative gap marks such a run out of order; only those
-    runs are re-sorted, by (q, x), in place, with q taken again from the
-    sorted values.  A span of 0, or one too large or too small to scale,
-    puts the whole cloud in one run of q = 0.
+    A presort and one check.  The presort sorts the int64 keys (q_i << b) | i,
+    b = n.bit_length(), q_i = trunc((x_i - min x) * 2^(62 - b) / span), which
+    stay below 2^63; q = 0 when the span is 0 or too large or too small to
+    scale.  Each float step is monotone, so x_i < x_j gives q_i <= q_j, and
+    the keys misorder values only inside a run of equal q, where the labels
+    break the tie.  One ``gap.min()`` finds such a run, and then one stable
+    argsort of the nearly sorted values finishes the order, keeping the key
+    order among equal values.
     """
     n = x.size
     b = n.bit_length()
     lo = float(x.min())
     span = float(x.max()) - lo  # Python floats: an overflow gives inf, not a warning
     scale = 2.0 ** (62 - b) / span if span > 0 else 0.0
-    if scale == math.inf:
-        scale = 0.0
-    key = _quanta(x, lo, scale)
+    if 0.0 < scale < math.inf:
+        key = x - lo
+        key *= scale
+        key = key.astype(np.int64)
+    else:
+        key = np.zeros(n, dtype=np.int64)
     key <<= b
     key |= np.arange(n, dtype=np.int64)
     key.sort()
@@ -121,16 +115,10 @@ def _sorted_order(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     xs = x[key]
     gap = xs[1:] - xs[:-1]
     if gap.min() < 0:
-        q = _quanta(xs, lo, scale)
-        runs = np.unique(q[np.flatnonzero(gap < 0)])
-        first = np.searchsorted(q, runs)
-        sizes = np.searchsorted(q, runs, side="right") - first
-        at = np.repeat(first - np.cumsum(sizes) + sizes, sizes) + np.arange(sizes.sum())
-        by_value = at[np.lexsort((xs[at], q[at]))]
-        key[at] = key[by_value]
-        xs[at] = xs[by_value]
-        near = np.clip(np.concatenate((at - 1, at)), 0, n - 2)
-        gap[near] = xs[near + 1] - xs[near]
+        by_value = np.argsort(xs, kind="stable")
+        key = key[by_value]
+        xs = xs[by_value]
+        gap = xs[1:] - xs[:-1]
     return key, xs, gap
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from softplex import UniformBox, build_cech, sample_binomial, soft_thin
 from softplex.cli import main
+from softplex.experiments import normalize
 
 
 def strict_json(text):
@@ -160,6 +161,28 @@ def test_experiment_run_and_report_round_trip(tmp_path):
     qq = (tmp_path / "rep.qq.csv").read_text().strip().splitlines()
     assert qq[1] == "theoretical,empirical"
     assert len(qq) == 12
+
+
+@pytest.mark.parametrize(("overrides", "column"), [
+    ({}, "f1"),
+    # binomial n = 5 on the unit line at r = 2: every replication is K_5, chi = 5 - 10
+    ({"n": 5, "k_max": 1, "r": 2.0, "statistic": {"kind": "chi"}}, "chi"),
+])
+def test_experiment_report_qq_column_is_the_normalized_sample(tmp_path, overrides, column):
+    config = write_config(tmp_path / "exp.json", **overrides)
+    results = tmp_path / "res.csv"
+    assert main(["experiment", "run", "--config", str(config), "--out", str(results)]) == 0
+    assert main(["experiment", "report", "--config", str(config), "--in", str(results),
+                 "--out", str(tmp_path / "rep.json")]) == 0
+    rows = [line.split(",") for line in results.read_text().strip().splitlines()[1:]]
+    samples = np.sort([float(row[rows[0].index(column)]) for row in rows[1:]])
+    if column == "chi":
+        assert set(samples.tolist()) == {-5.0}
+        expected = ["-0.0"] * len(samples)  # a constant statistic: z = sample * 0.0
+    else:
+        expected = [repr(float(v)) for v in normalize(samples)]
+    qq = (tmp_path / "rep.qq.csv").read_text().strip().splitlines()[2:]
+    assert [line.split(",")[1] for line in qq] == expected
 
 
 @pytest.mark.parametrize("retention", [{"rho": [0.5]}, {"rho_exponents": [-0.5, 0.0, 0.0]}])

@@ -155,6 +155,52 @@ def test_tie_run_out_of_label_order_is_repaired():
         assert threshold_pairs(pts, r).tobytes() == threshold_pairs_bruteforce(pts, r).tobytes()
 
 
+@st.composite
+def presorted_out_of_order(draw):
+    """A 1-d cloud that its keys alone leave unsorted, and a cluster's width.
+
+    Dyadic values in [-1, 1] and their two ends, or the values between two
+    points at -1e308 and 1e308, whose span overflows and gives a scale of 0;
+    with signed zeros and exact duplicates, or without; among them 1..3
+    clusters of 2..20 distinct values within one quantum, labelled against
+    their values.  Or a cloud of subnormal values, whose scale overflows and
+    is set to 0, in draw order.
+    """
+    kind = draw(st.sampled_from(["uniform", "extremes", "zeros", "subnormal"]))
+    if kind == "subnormal":
+        steps = draw(st.lists(st.integers(-40, 40), min_size=2, max_size=60))
+        return np.asarray(steps, dtype=np.float64) * 2.0**-1074, 3 * 2.0**-1074
+    values = draw(st.lists(GRID, max_size=40))
+    if kind == "zeros":
+        values += draw(st.lists(st.sampled_from([-0.0, 0.0, 0.25, -0.5]), min_size=2, max_size=20))
+    clusters, width = [], 0.0
+    for _ in range(draw(st.integers(1, 3))):
+        # x - min x rounds every member to one value: its offsets are below half an ulp of it
+        centre, ulp = draw(st.sampled_from([(0.0, 2.0**-100), (2.0**-10, 2.0**-62), (-(2.0**-12), 2.0**-64)]))
+        steps = sorted(draw(st.lists(st.integers(0, 40), min_size=2, max_size=20, unique=True)))
+        clusters += [centre + ulp * s for s in reversed(steps)]
+        width = (steps[-1] - steps[0]) * ulp
+    at = draw(st.integers(0, len(values)))
+    ends = [1e308, -1e308] if kind == "extremes" else [1.0, -1.0]
+    return np.asarray(values[:at] + clusters + values[at:] + ends), width
+
+
+@settings(max_examples=200)
+@given(case=presorted_out_of_order())
+def test_sorted_order_finishes_an_unsorted_presort(case):
+    x, width = case
+    with np.errstate(over="ignore"):
+        order, xs, gap = _sorted_order(x)
+        assert np.array_equal(np.sort(order), np.arange(x.size))
+        assert xs.tobytes() == x[order].tobytes()
+        assert np.all(gap >= 0) and gap.tobytes() == (xs[1:] - xs[:-1]).tobytes()
+        finite_span = (x.max() - x.min()) ** 2 < math.inf
+    if finite_span:
+        pts = x[:, None]
+        for r in (0.0, width, 1.0):
+            assert threshold_pairs(pts, r).tobytes() == threshold_pairs_bruteforce(pts, r).tobytes()
+
+
 def test_constant_cloud_is_the_complete_graph():
     pts = np.full((7, 1), -2.5)
     assert threshold_pairs(pts, 0.0).tolist() == [[i, j] for i in range(7) for j in range(i + 1, 7)]
