@@ -27,7 +27,8 @@ row, so one sorted-key lookup per vertex, `_find`, finds a tuple and its
 row, and a code stays below (number of (k-1)-faces) * n; a
 mixed-radix code n^(k+1) would overflow int64 at n = 250k and k = 3.  The
 join's subface check and the eligibility tests of `soft_thin` and
-`downward_closed` all use this lookup.
+`downward_closed` all use this lookup.  Those two take face tables in any row
+order: they sort the codes they build before they search them.
 
 Every gather and mask on the build path is a `take` or a `compress`: they
 select the same elements in the same order as fancy indexing, and numpy 2.4
@@ -423,7 +424,7 @@ def soft_thin(complex_: SimplicialComplex, rho, seed: int) -> SimplicialComplex:
         if kept[dim - 1].shape[0] < complex_.faces_by_dim[dim - 1].shape[0]:
             # a thinned lower table: look every subface up among the survivors
             for lower in kept[len(codes):dim]:
-                codes.append(_locate(codes, lower[:, :-1].T, n)[1] * n + lower[:, -1])
+                codes.append(np.sort(_locate(codes, lower[:, :-1].T, n)[1] * n + lower[:, -1]))
             rows = rows[_locate(codes, _subfaces(rows, range(dim + 1)), n)[0].all(axis=0)]
         if rho[dim - 1] < 1.0 and rows.shape[0]:
             keep = uniform_coins(derive_seed(seed, FACE_COIN_STREAM, dim), rows) < rho[dim - 1]

@@ -67,26 +67,33 @@ class ExperimentConfig:
             count(self.n, "binomial n", 1, ConfigurationError)
         if (self.r is None) == (self.r_exponent is None):
             raise ConfigurationError("exactly one of r / r_exponent must be given")
-        for name, least in (("r", 0), ("r_exponent", None), ("max_predicted_faces", 0)):
+        for name, least in (("r", 0), ("r_exponent", None)):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, real(getattr(self, name), name, least,
                                                     ConfigurationError))
+        object.__setattr__(self, "max_predicted_faces", real(
+            self.max_predicted_faces, "max_predicted_faces", 0, ConfigurationError))
         if self.rho is not None and self.rho_exponents is not None:
             raise ConfigurationError("give at most one of rho / rho_exponents")
         statistic = tuple(self.statistic) if isinstance(self.statistic, (tuple, list)) else ()
         if len(statistic) == 2 and statistic[0] == "fk":
-            k = count(statistic[1], "statistic k", 0, ConfigurationError)
-            if k > self.k_max:
-                raise ConfigurationError(f"statistic ('fk', k) requires k <= k_max, got k={k}")
-            object.__setattr__(self, "statistic", ("fk", k))
+            statistic = ("fk", count(statistic[1], "statistic k", 0, ConfigurationError))
+            if statistic[1] > self.k_max:
+                raise ConfigurationError(
+                    f"statistic ('fk', k) requires k <= k_max, got k={statistic[1]}")
         elif statistic != ("chi",):
             raise ConfigurationError("statistic must be ('fk', k) or ('chi',)")
+        object.__setattr__(self, "statistic", statistic)
         density = self.density
         if density is None:
             density = UniformBox(lo=[0.0] * self.d, hi=[1.0] * self.d)
             object.__setattr__(self, "density", density)
         if density.dimension != self.d:
             raise ConfigurationError(f"density dimension {density.dimension} != d={self.d}")
+        if not isinstance(self.region, RegionSpec):
+            raise ConfigurationError(f"region must be a RegionSpec, got {self.region!r}")
+        if self.region.lo is not None and len(self.region.lo) != self.d:
+            raise ConfigurationError(f"region dimension {len(self.region.lo)} != d={self.d}")
         rho = self.rho if self.rho is not None else (1.0,) * max(self.k_max, 1)
         try:  # the rules r^d = n^-a and p_i = n^-b_i may round to 0 or overflow
             radius = self.r if self.r is not None else self.n ** (-self.r_exponent / self.d)
@@ -101,29 +108,19 @@ class ExperimentConfig:
             object.__setattr__(self, "rho", self.retention)
 
     def to_config(self) -> dict:
-        out = {
-            "model": self.model,
-            "process": self.process,
-            "n": self.n,
-            "d": self.d,
-            "k_max": self.k_max,
-            "replications": self.replications,
-            "master_seed": self.master_seed,
-            "statistic": {"kind": self.statistic[0]},
-            "density": self.density.to_config(),
-            "region": self.region.to_config(),
-            "max_predicted_faces": self.max_predicted_faces,
-        }
-        if self.statistic[0] == "fk":
-            out["statistic"]["k"] = self.statistic[1]
-        if self.r is not None:
-            out["r"] = self.r
-        else:
-            out["r_exponent"] = self.r_exponent
-        if self.rho is not None:
-            out["rho"] = list(self.rho)
-        if self.rho_exponents is not None:
-            out["rho_exponents"] = list(self.rho_exponents)
+        """The JSON form `config_from_dict` reads: every init field that is not None."""
+        out = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not f.init or value is None:
+                continue
+            if f.name == "statistic":
+                value = dict(zip(("kind", "k"), value))
+            elif f.name in ("density", "region"):
+                value = value.to_config()
+            elif f.name in ("rho", "rho_exponents"):
+                value = list(value)
+            out[f.name] = value
         return out
 
 
@@ -146,22 +143,13 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if nulls:
         raise ConfigurationError(f"config keys may not be null: {nulls}")
     density = density_from_config(raw["density"]) if "density" in raw else None
-    region = region_from_config(raw["region"]) if "region" in raw else ALL_SPACE
+    if "region" in raw:  # checked but not passed on: see test_config_from_dict_keeps_region
+        region_from_config(raw["region"])
     stat_raw = raw["statistic"]
-    if not isinstance(stat_raw, dict) or "kind" not in stat_raw:
-        raise ConfigurationError("statistic must be an object with a 'kind'")
+    if not isinstance(stat_raw, dict) or set(stat_raw) not in ({"kind"}, {"kind", "k"}):
+        raise ConfigurationError("statistic must be {'kind': 'fk', 'k': k} or {'kind': 'chi'}")
+    statistic = tuple(stat_raw[key] for key in ("kind", "k") if key in stat_raw)
     try:
-        if stat_raw["kind"] == "fk":
-            if set(stat_raw) != {"kind", "k"}:
-                raise ConfigurationError("statistic 'fk' takes exactly the field 'k'")
-            statistic = ("fk", stat_raw["k"])
-        elif stat_raw["kind"] == "chi":
-            if set(stat_raw) != {"kind"}:
-                raise ConfigurationError("statistic 'chi' takes no extra fields")
-            statistic = ("chi",)
-        else:
-            raise ConfigurationError(f"unknown statistic kind {stat_raw['kind']!r}")
-        # the region is checked above but not passed on: see test_config_from_dict_keeps_region
         given = {key: raw[key] for key in raw if key not in ("statistic", "density", "region")}
         return ExperimentConfig(**given, statistic=statistic, density=density)
     except (TypeError, ValueError, OverflowError) as exc:

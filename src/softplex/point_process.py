@@ -62,8 +62,5 @@ def sample_poisson(lam: float, density: Density, seed: int) -> PointCloud:
     if lam > _POISSON_MAX:
         raise InputError(f"poisson intensity must be at most {_POISSON_MAX:.4g}, got {lam}")
     n = int(generator(seed, COUNT_STREAM).poisson(lam))
-    if n == 0:
-        pts = np.empty((0, density.dimension))
-    else:
-        pts = density.sample(generator(seed, POINT_STREAM), n)
+    pts = density.sample(generator(seed, POINT_STREAM), n)
     return PointCloud(points=pts, provenance="poisson", size_parameter=lam, seed=int(seed))

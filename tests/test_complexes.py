@@ -298,6 +298,25 @@ def test_soft_thin_downward_closed_and_deterministic():
     assert all(np.array_equal(x, y) for x, y in zip(a.faces_by_dim, b.faces_by_dim))
 
 
+@pytest.mark.parametrize("flavor", ["rips", "cech"])
+def test_soft_thin_and_downward_closed_take_tables_in_any_row_order(flavor):
+    def face_set(rows):
+        return {tuple(row) for row in rows.tolist()}
+
+    for seed in range(3):
+        hard = build_complex(build_graph(sample_binomial(300, UNIT_2D, seed), 0.12), 3, flavor)
+        rng = np.random.default_rng(seed)
+        shuffled = replace(hard, faces_by_dim=tuple(rows[rng.permutation(rows.shape[0])]
+                                                    for rows in hard.faces_by_dim))
+        assert downward_closed(shuffled)
+        thinned, thinned_shuffled = (soft_thin(cx, (0.7, 0.6, 0.5), seed)
+                                     for cx in (hard, shuffled))
+        assert thinned.faces_by_dim[3].shape[0] > 0 and downward_closed(thinned_shuffled)
+        for rows, rows_shuffled in zip(thinned.faces_by_dim, thinned_shuffled.faces_by_dim,
+                                       strict=True):
+            assert face_set(rows) == face_set(rows_shuffled)
+
+
 def test_soft_thin_rejects_short_rho_and_double_thinning():
     cloud = sample_binomial(30, UNIT_2D, seed=13)
     cx = build_rips(build_graph(cloud, 0.3), 3)

@@ -103,6 +103,16 @@ REFUSED = {
     "config-replications-fraction": lambda: config_from_dict({**CONFIG, "replications": 10.5}),
     "config-statistic-k-fraction": lambda: config_from_dict(
         {**CONFIG, "statistic": {"kind": "fk", "k": 1.2}}),
+    # a statistic is {"kind": "fk", "k": k} or {"kind": "chi"} and nothing else
+    "config-statistic-chi-with-k": lambda: config_from_dict(
+        {**CONFIG, "statistic": {"kind": "chi", "k": 1}}),
+    "config-statistic-fk-without-k": lambda: config_from_dict(
+        {**CONFIG, "statistic": {"kind": "fk"}}),
+    "config-statistic-unknown-kind": lambda: config_from_dict(
+        {**CONFIG, "statistic": {"kind": "mean"}}),
+    "config-statistic-extra-key": lambda: config_from_dict(
+        {**CONFIG, "statistic": {"kind": "fk", "k": 1, "l": 1}}),
+    "config-statistic-string": lambda: config_from_dict({**CONFIG, "statistic": "chi"}),
     "config-n-string": lambda: config_from_dict({**CONFIG, "n": "300"}),
     "config-poisson-n-bool": lambda: config_from_dict({**CONFIG, "process": "poisson", "n": True}),
     "config-r-string": lambda: config_from_dict({**CONFIG, "r": "0.003"}),
@@ -145,6 +155,12 @@ REFUSED = {
     "kolmogorov-threshold-fraction": lambda: kolmogorov_threshold(2.5),  # returned a number
     "experiment-statistic-empty": lambda: experiment(statistic=()),  # IndexError
     "experiment-statistic-none": lambda: experiment(statistic=None),  # TypeError
+    # the four rows below were accepted, then failed inside run_experiment
+    "experiment-max_predicted_faces-none": lambda: experiment(max_predicted_faces=None),
+    "experiment-region-none": lambda: experiment(region=None),
+    "experiment-region-string": lambda: experiment(region="all"),
+    "experiment-region-dimension": lambda: experiment(
+        d=2, region=RegionSpec("box", (0.0,), (1.0,))),
     # the two rows below raised a bare ValueError
     "regime-mode-without-level": lambda: regime_check(100, 0.1, 1, (1.0,), ("chi",)),
     "regime-mode-three-entries": lambda: regime_check(100, 0.1, 1, (1.0,), ("fk", 1, 2)),

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from softplex import InputError, PointCloud, UniformBox, sample_binomial, sample_poisson
+from softplex import (GaussianIsotropic, InputError, PiecewiseConstantGrid, PointCloud, UniformBox,
+                      sample_binomial, sample_poisson)
 
 UNIT_1D = UniformBox(lo=[0.0], hi=[1.0])
 UNIT_2D = UniformBox(lo=[0.0, 0.0], hi=[1.0, 1.0])
@@ -18,8 +19,6 @@ def test_binomial_count_and_support():
 
 
 def test_binomial_single_point():
-    from softplex import GaussianIsotropic
-
     cloud = sample_binomial(1, GaussianIsotropic(mean=[0.0], sigma=1.0), seed=123)
     assert cloud.points.shape == (1, 1)
 
@@ -45,8 +44,14 @@ def test_binomial_requires_positive_n():
 
 def test_poisson_tiny_intensity_is_almost_surely_empty():
     lam = 1e-4
-    empty = sum(len(sample_poisson(lam, UNIT_1D, seed)) == 0 for seed in range(10_000))
-    assert abs(empty / 10_000 - math.exp(-lam)) < 0.01
+    gaussian = GaussianIsotropic(mean=[0.0, 0.0, 0.0], sigma=1.0)
+    grid = PiecewiseConstantGrid(lo=[0.0, 0.0], hi=[1.0, 1.0], weights=[[1.0, 2.0], [3.0, 4.0]])
+    for density in (UNIT_1D, gaussian, grid):
+        clouds = [sample_poisson(lam, density, seed).points for seed in range(10_000)]
+        empty = [pts for pts in clouds if len(pts) == 0]
+        assert abs(len(empty) / 10_000 - math.exp(-lam)) < 0.01
+        assert all(pts.shape == (0, density.dimension) and pts.dtype == np.float64
+                   for pts in empty)
 
 
 def test_poisson_count_mean():
