@@ -308,11 +308,9 @@ def min_enclosing_ball(points) -> tuple[np.ndarray, float]:
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[None, :]
-    if pts.shape[0] == 0:
+    if pts.size == 0:  # no points, or one point with no coordinates
         raise InputError("smallest enclosing ball of an empty set is undefined")
     center, radius = _welzl([row for row in pts], [], pts.shape[1])
-    if center is None:
-        center, radius = pts[0], 0.0
     return center, float(radius)
 
 
@@ -413,9 +411,6 @@ def soft_thin(complex_: SimplicialComplex, rho, seed: int) -> SimplicialComplex:
         raise ConfigurationError("complex already carries a retention vector")
     top = complex_.k_max
     rho = _retention(rho, top)
-    if all(p == 1.0 for p in rho[:top]):
-        return replace(complex_, rho=rho, seed=int(seed))
-
     n = len(complex_.cloud)
     kept = [complex_.faces_by_dim[0]]
     codes = [None]  # a vertex is its own rank
@@ -438,9 +433,6 @@ class FaceCounts:
     f: tuple  # f[k] = number of k-faces whose leftmost point lies in the region
     region: RegionSpec
 
-    def __getitem__(self, k: int) -> int:
-        return self.f[k]
-
 
 def _leftmost_coordinates(points: np.ndarray, faces: np.ndarray) -> np.ndarray:
     """Coordinates of the lexicographically smallest vertex of each face."""
@@ -458,7 +450,7 @@ def face_counts(complex_: SimplicialComplex, region: RegionSpec = ALL_SPACE) -> 
     """Per-dimension face counts restricted by leftmost-point membership."""
     counts = []
     for faces in complex_.faces_by_dim:
-        if region.kind == "all" or faces.shape[0] == 0:
+        if region.kind == "all":
             counts.append(int(faces.shape[0]))
             continue
         lmp = _leftmost_coordinates(complex_.cloud.points, faces)

@@ -94,10 +94,6 @@ class ConstantEstimate:
         return out
 
 
-def _binom(a: int, b: int) -> int:
-    return math.comb(a, b) if 0 <= b <= a else 0
-
-
 def retention_exponent(k: int, l: int, j: int, i: int) -> int:
     """Exponent of p_i in the joint survival of a k-face and an l-face sharing j vertices."""
     k, l, j, i = (count(v, f"retention_exponent {name}") for v, name in zip((k, l, j, i), "klji"))
@@ -105,7 +101,7 @@ def retention_exponent(k: int, l: int, j: int, i: int) -> int:
         raise InputError(f"shared count j={j} exceeds min(k,l)+1={min(k, l) + 1}")
     if not 1 <= i <= max(k, l):
         raise InputError(f"coin index i={i} outside 1..max(k,l)={max(k, l)}")
-    return _binom(k + 1, i + 1) + _binom(l + 1, i + 1) - _binom(j, i + 1)
+    return math.comb(k + 1, i + 1) + math.comb(l + 1, i + 1) - math.comb(j, i + 1)
 
 
 def _log_unit_ball_volume(d: int) -> float:

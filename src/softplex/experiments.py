@@ -16,6 +16,7 @@ replicates never loads scipy.
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, field, fields, replace
 
@@ -62,6 +63,8 @@ class ExperimentConfig:
         for name, least in (("d", 1), ("k_max", 0), ("replications", 2), ("master_seed", None)):
             value = count(getattr(self, name), name, least, ConfigurationError)
             object.__setattr__(self, name, value)
+        if max(self.d, self.k_max) > sys.maxsize:  # each sizes a default list below
+            raise ConfigurationError(f"d and k_max must be at most {sys.maxsize}")
         object.__setattr__(self, "n", real(self.n, f"{self.process} n", 1, ConfigurationError))
         if self.process == "binomial":
             count(self.n, "binomial n", 1, ConfigurationError)
@@ -75,6 +78,8 @@ class ExperimentConfig:
             self.max_predicted_faces, "max_predicted_faces", 0, ConfigurationError))
         if self.rho is not None and self.rho_exponents is not None:
             raise ConfigurationError("give at most one of rho / rho_exponents")
+        if self.rho_exponents is not None and not isinstance(self.rho_exponents, (list, tuple)):
+            raise ConfigurationError(f"rho_exponents must be a list, got {self.rho_exponents!r}")
         statistic = tuple(self.statistic) if isinstance(self.statistic, (tuple, list)) else ()
         if len(statistic) == 2 and statistic[0] == "fk":
             statistic = ("fk", count(statistic[1], "statistic k", 0, ConfigurationError))
@@ -88,6 +93,8 @@ class ExperimentConfig:
         if density is None:
             density = UniformBox(lo=[0.0] * self.d, hi=[1.0] * self.d)
             object.__setattr__(self, "density", density)
+        if not isinstance(density, Density):
+            raise ConfigurationError(f"density must be a Density, got {density!r}")
         if density.dimension != self.d:
             raise ConfigurationError(f"density dimension {density.dimension} != d={self.d}")
         if not isinstance(self.region, RegionSpec):
@@ -149,11 +156,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     if not isinstance(stat_raw, dict) or set(stat_raw) not in ({"kind"}, {"kind", "k"}):
         raise ConfigurationError("statistic must be {'kind': 'fk', 'k': k} or {'kind': 'chi'}")
     statistic = tuple(stat_raw[key] for key in ("kind", "k") if key in stat_raw)
-    try:
-        given = {key: raw[key] for key in raw if key not in ("statistic", "density", "region")}
-        return ExperimentConfig(**given, statistic=statistic, density=density)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigurationError(f"experiment config has a malformed field: {exc}") from None
+    given = {key: raw[key] for key in raw if key not in ("statistic", "density", "region")}
+    return ExperimentConfig(**given, statistic=statistic, density=density)
 
 
 @dataclass(frozen=True)

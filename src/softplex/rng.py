@@ -100,12 +100,10 @@ def _vector_mix(h: np.ndarray) -> np.ndarray:
 def uniform_coins(seed: int, items: np.ndarray) -> np.ndarray:
     """One uniform in [0, 1) per row of ``items``, a function of values only.
 
-    ``items`` is an integer array of shape (m,) or (m, w); rows with equal
-    values always map to equal uniforms for a fixed seed.
+    ``items`` is a 2-D integer table of shape (m, w); rows with equal values
+    always map to equal uniforms for a fixed seed.
     """
     items = np.asarray(items)
-    if items.ndim == 1:
-        items = items[:, None]
     h = np.full(items.shape[0], derive_seed(seed), dtype=np.uint64)
     for col in range(items.shape[1]):
         h = _vector_mix(h + _UGOLDEN + _vector_mix(items[:, col].astype(np.uint64)))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from softplex import UniformBox, build_cech, sample_binomial, soft_thin
+from softplex import GaussianIsotropic, UniformBox, build_cech, sample_binomial, soft_thin
 from softplex.cli import main
 from softplex.experiments import normalize
 
@@ -241,6 +241,30 @@ def test_experiment_overrides_take_precedence(tmp_path):
     assert embedded["n"] == 123.0 and embedded["k_max"] == 1
 
 
+def test_experiment_r_override_replaces_r_exponent(tmp_path):
+    # --r on an r_exponent config runs, and embeds, the config written with that r
+    overridden, written = tmp_path / "overridden.csv", tmp_path / "written.csv"
+    assert main(["experiment", "run", "--config", EXPONENT_RULE % "1.1", "--r", "0.004",
+                 "--out", str(overridden)]) == 0
+    config = write_config(tmp_path / "exp.json", r=0.004)
+    assert main(["experiment", "run", "--config", str(config), "--out", str(written)]) == 0
+    embedded = strict_json(overridden.read_text().splitlines()[0][len("# config "):])
+    assert embedded["r"] == 0.004 and "r_exponent" not in embedded
+    assert overridden.read_bytes() == written.read_bytes()
+
+
+def test_sample_gaussian_density(tmp_path):
+    out = tmp_path / "pts.csv"
+    assert main(["sample", "--n", "20", "--d", "2", "--density", "gaussian", "--seed", "3",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    embedded = strict_json(lines[0][len("# config "):])
+    assert embedded["density"] == {"kind": "gaussian-isotropic", "mean": [0.0, 0.0],
+                                   "sigma": 1.0}
+    cloud = sample_binomial(20, GaussianIsotropic(mean=[0.0, 0.0], sigma=1.0), 3)
+    assert lines[2:] == [",".join(map(repr, row)) for row in cloud.points.tolist()]
+
+
 def test_experiment_threads_do_not_change_bytes(tmp_path):
     config = write_config(tmp_path / "exp.json", replications=8)
     a = tmp_path / "a.csv"
@@ -314,8 +338,12 @@ def test_bad_thread_count_exits_one(tmp_path, monkeypatch, caplog, flag, env):
     assert ("--threads" if flag else "SOFTPLEX_THREADS") in caplog.text
 
 
-BAD_CSVS = {"bad.csv": "rep,f0,f1,f2,chi,n_points\n0,300,2,x,298,300\n",
-            "short.csv": "rep,f0,f1,f2,chi,n_points\n0,0,0\n"}
+BAD_FILES = {"bad.csv": "rep,f0,f1,f2,chi,n_points\n0,300,2,x,298,300\n",
+             "short.csv": "rep,f0,f1,f2,chi,n_points\n0,0,0\n",
+             "comments.csv": "# config {}\n# no header and no rows\n",
+             "header.csv": "rep,f0,f1,chi,n_points\n0,300,2,298,300\n",
+             "list.json": "[1]"}
+REPORT = ["experiment", "report", "--config", "exp.json", "--out", "out.json", "--in"]
 RUN = ["experiment", "run", "--config", "exp.json", "--out", "out.csv"]
 # exp.json's defaults with the rule r^d = n^-a in place of r, inline
 EXPONENT_RULE = ('{"model": "rips", "process": "binomial", "n": 300, "d": 1, "k_max": 2, '
@@ -345,6 +373,7 @@ MALFORMED = {
     "density-lo-string": (["sample", "--n", "5", "--out", "out.csv", "--density",
                            '{"kind": "uniform-box", "lo": "ab", "hi": [1.0]}'], {}),
     "config-d-overflow": (RUN, {"d": 1e400}),
+    "config-d-past-index-range": (RUN, {"d": 1e308}),
     "config-n-nan": (RUN, {"n": float("nan")}),
     "config-density-kind-list": (RUN, {"density": {"kind": [], "lo": [0.0], "hi": [1.0]}}),
     "config-r-zero": (RUN, {"r": 0}),
@@ -400,6 +429,14 @@ MALFORMED = {
                                                     "sigma": float("inf")}}),
     "build-r-inf": (["build", "--n", "5", "--r", "1e999", "--kmax", "1", "--out", "out"], {}),
     "regime-overflow": (["regime", "--n", "1e300", "--d", "3", "--r", "1e200", "--k", "1"], {}),
+    "report-comments-only": ([*REPORT, "comments.csv"], {}),
+    "report-header-mismatch": ([*REPORT, "header.csv"], {}),
+    "config-inline-list": (["experiment", "run", "--config", "[1]", "--out", "out.csv"], {}),
+    "config-file-list": (["experiment", "run", "--config", "list.json", "--out", "out.csv"], {}),
+    # json.loads reads 1e999 as inf, which the estimate takes and no artifact may hold
+    "constants-region-bound-overflow": (["constants", "--kind", "mu", "--k", "1", "--d", "1",
+                                         "--samples", "100", "--out", "out.json", "--region",
+                                         '{"kind": "box", "lo": [0.0], "hi": [1e999]}'], {}),
 }
 
 
@@ -408,7 +445,7 @@ def test_malformed_input_exits_one_with_one_error_line(tmp_path, monkeypatch, ca
                                                        argv, overrides):
     monkeypatch.chdir(tmp_path)
     write_config(tmp_path / "exp.json", **overrides)
-    for name, text in BAD_CSVS.items():
+    for name, text in BAD_FILES.items():
         (tmp_path / name).write_text(text)
     before = set(tmp_path.iterdir())
     assert main(argv) == 1

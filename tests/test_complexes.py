@@ -548,6 +548,8 @@ def test_face_counts_empty_complex():
     cloud = cloud_from([[0.0], [5.0]])
     cx = build_rips(build_graph(cloud, 1.0), 2)
     assert face_counts(cx).f == (2, 0, 0)
+    # the region path takes an empty face table as it is
+    assert face_counts(cx, RegionSpec("box", (-1.0,), (1.0,))).f == (1, 0, 0)
 
 
 def test_euler_characteristic_examples():

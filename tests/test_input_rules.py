@@ -17,10 +17,12 @@ import json
 import math
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from softplex import (
+    ALL_SPACE,
     ConfigurationError,
     ConstantEstimate,
     ExperimentConfig,
@@ -28,7 +30,9 @@ from softplex import (
     InputError,
     MomentPrediction,
     PiecewiseConstantGrid,
+    PointCloud,
     RegionSpec,
+    SimplicialComplex,
     SoftplexError,
     UniformBox,
     build_complex,
@@ -38,15 +42,19 @@ from softplex import (
     face_counts,
     kolmogorov_threshold,
     ks_statistic,
+    min_enclosing_ball,
+    moment_diagnostics,
     normalize,
     predicted_moments,
     regime_check,
+    region_from_config,
     retention_exponent,
     run_experiment,
     sample_binomial,
     sample_poisson,
 )
 from softplex.errors import count, real
+from softplex.geometry import region_mask
 
 UNIT_1D = UniformBox(lo=[0.0], hi=[1.0])
 MU1 = ConstantEstimate(value=1.0, stderr=0.0, samples=1, kind="mu", k=1)
@@ -61,10 +69,12 @@ def graph():
     return build_graph(sample_binomial(50, UNIT_1D, 3), 0.05)
 
 
+FIELDS = dict(model="rips", process="binomial", n=300, d=1, k_max=2, replications=4,
+              master_seed=5, statistic=("fk", 1), r=0.003)
+
+
 def experiment(**overrides):
-    fields = dict(model="rips", process="binomial", n=300, d=1, k_max=2, replications=4,
-                  master_seed=5, statistic=("fk", 1), r=0.003)
-    return ExperimentConfig(**{**fields, **overrides})
+    return ExperimentConfig(**{**FIELDS, **overrides})
 
 
 REFUSED = {
@@ -178,6 +188,36 @@ REFUSED = {
     "constants-grid-density-factor-overflow": lambda: estimate_mu(
         4, 2, PiecewiseConstantGrid(lo=[0.0, 0.0], hi=[1e-50, 1e-50], weights=[[1.0, 2.0]]),
         samples=100),
+    # the two rows below raised a bare AttributeError and TypeError from the Python API
+    "experiment-density-string": lambda: experiment(density="uniform"),
+    "experiment-rho_exponents-scalar": lambda: experiment(k_max=1, rho_exponents=0.5),
+    "experiment-process-unknown": lambda: experiment(process="cox"),
+    "experiment-rho-and-rho_exponents": lambda: experiment(rho=(1.0, 1.0),
+                                                           rho_exponents=(0.0, 0.0)),
+    "experiment-density-dimension": lambda: experiment(density=UniformBox([0.0, 0.0], [1.0, 1.0])),
+    "config-not-an-object": lambda: config_from_dict([1]),
+    # d and k_max size the default density and retention vector: past the index
+    # range a list raises OverflowError
+    "config-d-past-index-range": lambda: config_from_dict({**CONFIG, "d": 1e308}),
+    "config-k_max-past-index-range": lambda: config_from_dict({**CONFIG, "k_max": 2**64}),
+    "region-all-with-bounds": lambda: RegionSpec("all", lo=(0.0,)),
+    "region-config-not-an-object": lambda: region_from_config([1]),
+    "region-config-lo-string": lambda: region_from_config({"kind": "box", "lo": ["a"],
+                                                            "hi": [1.0]}),
+    "region-mask-dimension": lambda: region_mask(np.zeros((3, 2)),
+                                                 RegionSpec("box", (0.0,), (1.0,))),
+    "gaussian-mean-matrix": lambda: GaussianIsotropic(mean=[[0.0]], sigma=1.0),
+    "grid-weight-axes": lambda: PiecewiseConstantGrid(lo=[0.0, 0.0], hi=[1.0, 1.0],
+                                                      weights=[1.0, 2.0]),
+    "cloud-vector": lambda: PointCloud(np.zeros(3), "binomial", 3, 0),
+    "complex-column-count": lambda: SimplicialComplex(
+        cloud=sample_binomial(3, UNIT_1D, 0), faces_by_dim=(np.zeros((3, 2), np.int64),),
+        flavor="rips", r=0.1),
+    "min-enclosing-ball-empty": lambda: min_enclosing_ball([]),
+    "normalize-one-sample": lambda: normalize([1.0]),
+    "moment-diagnostics-one-sample": lambda: moment_diagnostics([1.0]),
+    "ks-statistic-empty": lambda: ks_statistic([]),
+    "kolmogorov-threshold-level": lambda: kolmogorov_threshold(100, 0.2),
 }
 
 
@@ -250,3 +290,78 @@ def test_config_with_float_counts_runs_as_with_ints():
     rows = [[(res.index, res.f, res.chi, res.n_points) for res in run_experiment(config)]
             for config in configs]
     assert rows[0] == rows[1]
+
+
+# JSON values: small numbers only, since d and k_max size lists before they
+# can be refused (a config with no density builds [0.0] * d)
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-2, 4), st.floats(-4.0, 4.0),
+                    st.sampled_from([math.nan, math.inf, -math.inf]), st.text(max_size=3))
+JSON = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=3), inner, max_size=3), max_leaves=6)
+# numbers at and beyond the float range, for every key but d and k_max
+HUGE = st.sampled_from([1e308, -1e308, 2**1024, -2**1024])
+NUMBERS = JSON | HUGE
+ENTRIES = st.lists(SCALARS | HUGE, max_size=4)
+CONFIG_VALUES = {  # a valid value or any other, per key
+    "model": st.sampled_from(["rips", "cech"]) | JSON,
+    "process": st.sampled_from(["binomial", "poisson"]) | JSON,
+    "n": st.integers(1, 500) | NUMBERS, "d": st.integers(1, 3) | JSON,
+    "k_max": st.integers(0, 3) | JSON, "replications": st.integers(2, 5) | NUMBERS,
+    "master_seed": st.integers() | NUMBERS, "r": st.floats(1e-3, 1.0) | NUMBERS,
+    "r_exponent": st.floats(-2.0, 2.0) | NUMBERS, "max_predicted_faces": NUMBERS,
+    "rho": st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4) | ENTRIES | JSON,
+    "rho_exponents": st.lists(st.floats(0.0, 2.0), max_size=4) | st.floats(0.0, 2.0) | ENTRIES
+                     | JSON,
+    "statistic": st.fixed_dictionaries(
+        {"kind": st.sampled_from(["fk", "chi"])}, optional={"k": NUMBERS}) | JSON,
+    "density": st.one_of(
+        st.fixed_dictionaries({"kind": st.just("uniform-box"), "lo": JSON, "hi": JSON}),
+        st.fixed_dictionaries({"kind": st.just("gaussian-isotropic"), "mean": JSON,
+                               "sigma": NUMBERS}),
+        st.fixed_dictionaries({"kind": st.just("piecewise-constant-grid"), "lo": JSON,
+                               "hi": JSON, "weights": JSON}), JSON),
+    "region": st.fixed_dictionaries(
+        {"kind": st.sampled_from(["all", "box", "box-complement"])},
+        optional={"lo": JSON, "hi": JSON}) | JSON,
+    "surprise": JSON,
+}
+DENSITIES = st.sampled_from([None, "uniform", UNIT_1D, UniformBox([0.0, 0.0], [1.0, 1.0]),
+                             GaussianIsotropic([0.0], 1.0)])
+REGIONS = st.sampled_from([ALL_SPACE, RegionSpec("box", (0.0,), (0.5,)),
+                           RegionSpec("box-complement", (0.0, 0.0), (0.5, 0.5)), "all"])
+PYTHON_VALUES = {  # the JSON values and tuples, and objects for the three structured keys
+    **{key: values | st.tuples(NUMBERS, NUMBERS) for key, values in CONFIG_VALUES.items()
+       if key != "surprise"},
+    "statistic": st.tuples(st.sampled_from(["fk", "chi"]), NUMBERS) | JSON,
+    "density": DENSITIES | JSON, "region": REGIONS | JSON,
+}
+
+
+@st.composite
+def edited(draw, bases, values, drops=0):
+    """One of ``bases`` with up to two keys redrawn from ``values`` and up to ``drops`` dropped."""
+    base = draw(st.sampled_from(bases))
+    dropped = draw(st.sets(st.sampled_from(sorted(base)), max_size=drops))
+    keys = draw(st.lists(st.sampled_from(sorted(values)), max_size=2, unique=True))
+    return {**{key: base[key] for key in base if key not in dropped},
+            **{key: draw(values[key]) for key in keys}}
+
+
+def returns_a_config_or_refuses(make, args):
+    try:
+        config = make(args)
+    except SoftplexError:
+        return
+    assert isinstance(config, ExperimentConfig)
+
+
+@settings(max_examples=300)
+@given(raw=edited([CONFIG, EXPONENT_RULE], CONFIG_VALUES, drops=1))
+def test_config_from_dict_returns_a_config_or_raises_softplex_error(raw):
+    returns_a_config_or_refuses(config_from_dict, raw)
+
+
+@settings(max_examples=300)
+@given(kwargs=edited([FIELDS, {**FIELDS, "r": None, "r_exponent": 1.1}], PYTHON_VALUES))
+def test_experiment_config_returns_a_config_or_raises_softplex_error(kwargs):
+    returns_a_config_or_refuses(lambda args: ExperimentConfig(**args), kwargs)
