@@ -62,6 +62,10 @@ def _parse_count(text: str) -> int:
     return count(float(text), "the value", None, argparse.ArgumentTypeError)
 
 
+def _parse_number(text: str) -> int | float:
+    return int(value) if (value := float(text)).is_integer() else value
+
+
 def _parse_rho(text: str) -> tuple:
     return tuple(float(v) for v in text.split(","))
 
@@ -247,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     cloud = _Parser(add_help=False)  # the flags of sample and build
-    cloud.add_argument("--n", type=_parse_count, required=True)
+    cloud.add_argument("--n", type=_parse_number, required=True)
     cloud.add_argument("--density", default="uniform",
                        help="uniform, gaussian, or density JSON (inline object or file path)")
     cloud.add_argument("--d", type=_parse_count, default=1)
@@ -291,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--config", required=True,
                             help="experiment JSON (inline object or file path)")
     experiment.add_argument("--out", required=True)
-    experiment.add_argument("--n", type=_parse_count, default=None)
+    experiment.add_argument("--n", type=_parse_number, default=None)
     experiment.add_argument("--r", type=float, default=None)
     experiment.add_argument("--kmax", type=_parse_count, default=None)
     experiment.add_argument("--seed", type=_parse_count, default=None)

@@ -73,7 +73,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, count, real
+from .errors import ConfigurationError, InputError, count, reals
 from .geometry import GeometricGraph, RegionSpec, ALL_SPACE, build_graph, region_mask
 from .point_process import PointCloud
 from .rng import FACE_COIN_STREAM, derive_seed, uniform_coins
@@ -107,16 +107,17 @@ class SimplicialComplex:
 
 
 def _retention(rho, top: int) -> tuple:
-    """The retention vector as floats, checked against the top dimension it thins."""
-    rho = tuple(real(p, "retention probability", error=ConfigurationError)
-                for p in np.asarray(rho, dtype=object).ravel())
-    if len(rho) < top:
+    """The retention vector (a scalar is one entry) as floats, checked against the top dimension."""
+    rho = reals(rho, "retention probability")
+    if rho.ndim > 1:
+        raise ConfigurationError(f"retention vector must be flat, got shape {rho.shape}")
+    if rho.size < top:
         raise ConfigurationError(
-            f"retention vector of length {len(rho)} is too short for faces up to dimension {top}"
+            f"retention vector of length {rho.size} is too short for faces up to dimension {top}"
         )
-    if any(not 0.0 <= p <= 1.0 for p in rho):
+    if not np.all((rho >= 0.0) & (rho <= 1.0)):  # NaN fails
         raise ConfigurationError("retention probabilities must lie in [0, 1]")
-    return rho
+    return tuple(rho.reshape(-1).tolist())
 
 
 def pairs_within_groups(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

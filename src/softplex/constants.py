@@ -132,16 +132,6 @@ def _map_in_order(fn, items, threads: int | None) -> list:
         return list(pool.map(fn, items))
 
 
-def _sharded_sums(worker, shard: int, samples: int, threads: int | None) -> float:
-    """The sum of worker(shard_index, size) over fixed shards of samples.
-
-    Each shard draws from its own derived stream and the merge is a plain
-    sum in shard order, so the sum is identical for any worker count.
-    """
-    tasks = enumerate(_shard_sizes(samples, shard))
-    return sum(_map_in_order(lambda task: worker(*task), tasks, threads))
-
-
 def _sum_of_squares(planes: np.ndarray) -> np.ndarray:
     """Sum over the leading (coordinate) axis of planes ** 2, as np.einsum sums a row.
 
@@ -335,7 +325,9 @@ def _estimate(kind: str, k: int, l: int | None, j: int | None, d: int, density: 
         mean = 1.0
         if tested:
             worker = _inner_worker(m, d, tested, flavor, seed)
-            mean = _sharded_sums(worker, max(1, _SHARD // m), samples, threads) / samples
+            # fixed shards, summed in shard order, give the same sum for any worker count
+            shards = enumerate(_shard_sizes(samples, max(1, _SHARD // m)))
+            mean = sum(_map_in_order(lambda task: worker(*task), shards, threads)) / samples
         volume = unit_ball_volume(d) ** m
         # an indicator's variance is mean - mean^2, and never below 0 for mean in [0, 1]
         inner = (mean * volume, math.sqrt((mean - mean * mean) / samples) * volume)

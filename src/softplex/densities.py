@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, InputError, box, real
+from .errors import ConfigurationError, InputError, box, real, reals
 from .rng import standard_normals
 
 
@@ -114,7 +114,7 @@ class UniformBox(Density):
 
 class GaussianIsotropic(Density):
     def __init__(self, mean, sigma):
-        self.mean = mean = np.asarray(mean, dtype=np.float64)
+        self.mean = mean = reals(mean, "gaussian mean")
         if mean.ndim != 1 or mean.size == 0:
             raise ConfigurationError("gaussian mean must be a nonempty vector")
         self.sigma = real(sigma, "gaussian sigma", 0, ConfigurationError)
@@ -164,7 +164,7 @@ class PiecewiseConstantGrid(Density):
 
     def __init__(self, lo, hi, weights):
         self.lo, self.hi = lo, hi = box(lo, hi, "grid")
-        w = np.asarray(weights, dtype=np.float64)
+        w = reals(weights, "grid weights")
         if w.ndim != lo.shape[0]:
             raise ConfigurationError(
                 f"weights must have one axis per dimension ({lo.shape[0]}), got {w.ndim}"
@@ -227,10 +227,10 @@ class PiecewiseConstantGrid(Density):
         }
 
 
-_DENSITY_FIELDS = {
-    "uniform-box": {"lo", "hi"},
-    "gaussian-isotropic": {"mean", "sigma"},
-    "piecewise-constant-grid": {"lo", "hi", "weights"},
+_DENSITY_KINDS = {  # kind -> (class, the fields its constructor takes)
+    "uniform-box": (UniformBox, {"lo", "hi"}),
+    "gaussian-isotropic": (GaussianIsotropic, {"mean", "sigma"}),
+    "piecewise-constant-grid": (PiecewiseConstantGrid, {"lo", "hi", "weights"}),
 }
 
 
@@ -239,19 +239,12 @@ def density_from_config(config: dict) -> Density:
     if not isinstance(config, dict) or not isinstance(config.get("kind"), str):
         raise ConfigurationError("density config must be an object with a string 'kind'")
     kind = config["kind"]
-    if kind not in _DENSITY_FIELDS:
+    if kind not in _DENSITY_KINDS:
         raise ConfigurationError(f"unsupported density kind: {kind!r}")
     fields = {k: v for k, v in config.items() if k != "kind"}
-    expected = _DENSITY_FIELDS[kind]
+    cls, expected = _DENSITY_KINDS[kind]
     if set(fields) != expected:
         raise ConfigurationError(
             f"density kind {kind!r} takes fields {sorted(expected)}, got {sorted(fields)}"
         )
-    try:
-        if kind == "uniform-box":
-            return UniformBox(fields["lo"], fields["hi"])
-        if kind == "gaussian-isotropic":
-            return GaussianIsotropic(fields["mean"], fields["sigma"])
-        return PiecewiseConstantGrid(fields["lo"], fields["hi"], fields["weights"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"density config has a malformed field: {exc}") from None
+    return cls(**fields)

@@ -2,8 +2,8 @@
 
 The library checks each number once, where it takes it: a count (points,
 dimensions, replications, samples, seeds) with ``count``, which reads 1e6 as
-an int and never truncates; any other number with ``real``, which takes only
-finite ints and floats; the bounds of a box with ``box``.
+an int and never truncates; any other number with ``real``, which takes finite
+ints and floats only, and array entries with ``reals``; a box with ``box``.
 """
 
 import numbers
@@ -64,9 +64,22 @@ def real(value, what: str, least: float | None = None, error: type = InputError)
     return number
 
 
+def reals(values, what: str) -> np.ndarray:
+    """A number, or a regular nesting of lists, tuples or arrays of them, as float64: a float
+    passes as it is (NaN and ±inf for the caller to judge), any other entry must pass ``real``."""
+    level, shape = [values.tolist() if isinstance(values, np.ndarray) else values], ()
+    while (lengths := {len(v) if isinstance(v, (list, tuple)) else -1 for v in level}) - {-1}:
+        if len(lengths) > 1 or len(shape) == 64:  # ragged, or past numpy's 64 dimensions
+            raise ConfigurationError(f"{what} must be evenly nested, at most 64 deep")
+        shape += (lengths.pop(),)
+        level = [e.tolist() if isinstance(e, np.ndarray) else e for row in level for e in row]
+    flat = [v if isinstance(v, float) else real(v, what, error=ConfigurationError) for v in level]
+    return np.array(flat, dtype=np.float64).reshape(shape)
+
+
 def box(lo, hi, what: str) -> tuple[np.ndarray, np.ndarray]:
     """lo and hi as equal-length nonempty float64 vectors, hi > lo (NaN fails, ±inf passes)."""
-    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    lo, hi = reals(lo, f"{what} lo"), reals(hi, f"{what} hi")
     if lo.ndim != 1 or lo.size == 0 or lo.shape != hi.shape or not np.all(hi > lo):
         raise ConfigurationError(f"{what} lo/hi must be equal-length nonempty vectors with hi > lo")
     return lo, hi

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from softplex import GaussianIsotropic, UniformBox, build_cech, sample_binomial, soft_thin
+from softplex import (GaussianIsotropic, UniformBox, build_cech, config_from_dict,
+                      run_experiment, sample_binomial, sample_poisson, soft_thin)
 from softplex.cli import main
 from softplex.experiments import normalize
 
@@ -253,6 +254,25 @@ def test_experiment_r_override_replaces_r_exponent(tmp_path):
     assert overridden.read_bytes() == written.read_bytes()
 
 
+def test_n_flag_takes_a_poisson_intensity(tmp_path):
+    # --n is parsed as a number and the library applies its rule: a Poisson intensity is a real
+    out = tmp_path / "pts.csv"
+    assert main(["sample", "--poisson", "--n", "2.5", "--d", "2", "--seed", "4",
+                 "--out", str(out)]) == 0
+    header, _, *rows = out.read_text().splitlines()
+    assert strict_json(header.removeprefix("# config "))["n"] == 2.5
+    cloud = sample_poisson(2.5, UniformBox([0.0, 0.0], [1.0, 1.0]), 4)
+    assert len(rows) == len(cloud) == 3
+    assert rows == [",".join(repr(float(v)) for v in point) for point in cloud.points]
+    config = write_config(tmp_path / "exp.json", process="poisson")
+    out = tmp_path / "res.csv"
+    assert main(["experiment", "run", "--config", str(config), "--n", "2.5",
+                 "--out", str(out)]) == 0
+    results = run_experiment(config_from_dict({**json.loads(config.read_text()), "n": 2.5}))
+    assert out.read_text().splitlines()[2:] == [
+        ",".join(map(str, [res.index, *res.f, res.chi, res.n_points])) for res in results]
+
+
 def test_sample_gaussian_density(tmp_path):
     out = tmp_path / "pts.csv"
     assert main(["sample", "--n", "20", "--d", "2", "--density", "gaussian", "--seed", "3",
@@ -362,6 +382,10 @@ MALFORMED = {
     "sample-n-inf": (["sample", "--n", "inf", "--out", "out.csv"], {}),
     "sample-n-overflow": (["sample", "--n", "1e400", "--out", "out.csv"], {}),
     "sample-poisson-n-huge": (["sample", "--poisson", "--n", "1e300", "--out", "out.csv"], {}),
+    # --n is a number; a binomial cloud's count rule refuses a fraction
+    "sample-binomial-n-fraction": (["sample", "--n", "2.5", "--out", "out.csv"], {}),
+    "build-n-fraction": (["build", "--n", "2.5", "--r", "0.2", "--out", "out"], {}),
+    "experiment-binomial-n-fraction": ([*RUN, "--n", "2.5"], {}),
     "constants-samples-inf": (["constants", "--kind", "mu", "--k", "1", "--d", "1",
                                "--samples", "inf", "--out", "out.json"], {}),
     "config-n-string": (RUN, {"n": "abc"}),

@@ -7,10 +7,13 @@ never left to fail later as a TypeError, ValueError or OverflowError.  Any
 other number (a radius, an intensity, an exponent, a cap, a density
 parameter) is a finite int or float; a bool, a string, NaN, an infinity or an
 int beyond the float range is refused, as is an exponent rule whose radius
-or retention probability rounds to 0 or overflows.  A density's parameters
-and its sup norm are finite, while a region's bounds may be infinite.  A
-retention vector holds numbers, is long enough and lies in [0, 1] wherever it
-is taken.  Results that overflow a float are refused with the quantity named.
+or retention probability rounds to 0 or overflows.  The entries of a vector
+(box bounds, a Gaussian mean, grid weights, a retention vector) take the same
+rule, from JSON and from Python alike, and a ragged nesting is refused.  A
+density's parameters and its sup norm are finite, while a region's bounds may
+be infinite.  A retention vector is flat, holds numbers, is long enough and
+lies in [0, 1] wherever it is taken.  Results that overflow a float are
+refused with the quantity named.
 """
 
 import json
@@ -25,6 +28,7 @@ from softplex import (
     ALL_SPACE,
     ConfigurationError,
     ConstantEstimate,
+    Density,
     ExperimentConfig,
     GaussianIsotropic,
     InputError,
@@ -38,6 +42,7 @@ from softplex import (
     build_complex,
     build_graph,
     config_from_dict,
+    density_from_config,
     estimate_mu,
     face_counts,
     kolmogorov_threshold,
@@ -52,6 +57,7 @@ from softplex import (
     run_experiment,
     sample_binomial,
     sample_poisson,
+    soft_thin,
 )
 from softplex.errors import count, real
 from softplex.geometry import region_mask
@@ -75,6 +81,12 @@ FIELDS = dict(model="rips", process="binomial", n=300, d=1, k_max=2, replication
 
 def experiment(**overrides):
     return ExperimentConfig(**{**FIELDS, **overrides})
+
+
+def nested(value, depth: int) -> list:
+    for _ in range(depth):
+        value = [value]
+    return value
 
 
 REFUSED = {
@@ -218,6 +230,57 @@ REFUSED = {
     "moment-diagnostics-one-sample": lambda: moment_diagnostics([1.0]),
     "ks-statistic-empty": lambda: ks_statistic([]),
     "kolmogorov-threshold-level": lambda: kolmogorov_threshold(100, 0.2),
+    "estimate-density-dimension": lambda: estimate_mu(1, 2, UniformBox([0.0], [1.0])),
+    "regime-r-negative": lambda: regime_check(1e4, -0.1, 1, (1.0,), ("fk", 1)),
+    # each row below was accepted, or raised a bare ValueError, TypeError or
+    # OverflowError, before vector entries took the real rule
+    "density-config-lo-numeric-string": lambda: density_from_config(
+        {"kind": "uniform-box", "lo": ["0"], "hi": ["1"]}),
+    "density-config-hi-bool": lambda: density_from_config(
+        {"kind": "uniform-box", "lo": [0.0], "hi": [True]}),
+    "density-config-mean-numeric-string": lambda: density_from_config(
+        {"kind": "gaussian-isotropic", "mean": ["0.5"], "sigma": 1.0}),
+    "density-config-mean-bool": lambda: density_from_config(
+        {"kind": "gaussian-isotropic", "mean": [False, 0.0], "sigma": 1.0}),
+    "density-config-weights-numeric-string": lambda: density_from_config(
+        {"kind": "piecewise-constant-grid", "lo": [0.0], "hi": [1.0], "weights": ["1", 2.0]}),
+    "density-config-weights-bool": lambda: density_from_config(
+        {"kind": "piecewise-constant-grid", "lo": [0.0], "hi": [1.0], "weights": [True, 2.0]}),
+    "density-config-weights-ragged": lambda: density_from_config(
+        {"kind": "piecewise-constant-grid", "lo": [0.0, 0.0], "hi": [1.0, 1.0],
+         "weights": [[1.0], [1.0, 2.0]]}),
+    "density-config-lo-beyond-float-range": lambda: density_from_config(
+        {"kind": "uniform-box", "lo": [-2**1024], "hi": [1.0]}),
+    "region-config-lo-numeric-string": lambda: region_from_config(
+        {"kind": "box", "lo": ["0.1"], "hi": [1.0]}),
+    "region-config-hi-bool": lambda: region_from_config(
+        {"kind": "box", "lo": [0.1], "hi": [True]}),
+    "region-config-ragged": lambda: region_from_config(
+        {"kind": "box-complement", "lo": [[0.0], [0.0, 1.0]], "hi": [1.0, 1.0]}),
+    "region-config-hi-beyond-float-range": lambda: region_from_config(
+        {"kind": "box", "lo": [0.0], "hi": [2**1024]}),
+    "uniform-box-lo-numeric-string": lambda: UniformBox(["0"], [1.0]),
+    "uniform-box-hi-bool": lambda: UniformBox([0.0], [True]),
+    "uniform-box-lo-string": lambda: UniformBox(["a"], [1.0]),
+    "gaussian-mean-numeric-string": lambda: GaussianIsotropic(["0.5"], 1.0),
+    "gaussian-mean-bool": lambda: GaussianIsotropic([True], 1.0),
+    "gaussian-mean-string": lambda: GaussianIsotropic(["a"], 1.0),
+    "gaussian-mean-ragged": lambda: GaussianIsotropic([[0.0], [0.0, 1.0]], 1.0),
+    "grid-weights-numeric-string": lambda: PiecewiseConstantGrid([0.0], [1.0], ["1", 2.0]),
+    "grid-weights-bool": lambda: PiecewiseConstantGrid([0.0], [1.0], [True, 2.0]),
+    "grid-weights-ragged": lambda: PiecewiseConstantGrid([0.0, 0.0], [1.0, 1.0],
+                                                         [[1.0], [1.0, 2.0]]),
+    "grid-lo-numeric-string": lambda: PiecewiseConstantGrid(["0"], [1.0], [1.0]),
+    "region-lo-numeric-string": lambda: RegionSpec("box", ("0.1",), (1.0,)),
+    "region-hi-bool": lambda: RegionSpec("box", (0.0,), (True,)),
+    "region-lo-dict": lambda: RegionSpec("box", [{}], [1.0]),
+    "uniform-box-lo-nested-past-numpy-dimensions": lambda: UniformBox(nested(0.0, 600), [1.0]),
+    # a retention vector was raveled, so a nested one passed as its entries
+    "config-rho-nested": lambda: config_from_dict({**CONFIG, "rho": [[0.7], [0.6]]}),
+    "config-rho-nested-deeper": lambda: config_from_dict({**CONFIG, "rho": [[[0.7, 0.6]]]}),
+    "experiment-rho-nested": lambda: experiment(rho=((0.7,), (0.6,))),
+    "build-rho-nested": lambda: build_complex(graph(), 2, rho=[[0.7], [0.6]]),
+    "soft-thin-rho-nested": lambda: soft_thin(build_complex(graph(), 2), [[0.7], [0.6]], 0),
 }
 
 
@@ -365,3 +428,67 @@ def test_config_from_dict_returns_a_config_or_raises_softplex_error(raw):
 @given(kwargs=edited([FIELDS, {**FIELDS, "r": None, "r_exponent": 1.1}], PYTHON_VALUES))
 def test_experiment_config_returns_a_config_or_raises_softplex_error(kwargs):
     returns_a_config_or_refuses(lambda args: ExperimentConfig(**args), kwargs)
+
+
+# vector fields from JSON or Python: numbers at and beyond the float range,
+# numeric and other strings, and nestings that may be ragged
+ENTRY = SCALARS | HUGE | st.sampled_from(["0.5", "1", "-2"])
+VECTOR_JSON = st.lists(ENTRY, min_size=1, max_size=2) | st.recursive(
+    ENTRY, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=2), inner, max_size=2), max_leaves=6)
+DENSITY_CONFIGS = [
+    {"kind": "uniform-box", "lo": [0.0, -1.0], "hi": [1.0, 2.0]},
+    {"kind": "gaussian-isotropic", "mean": [0.5], "sigma": 1.0},
+    {"kind": "piecewise-constant-grid", "lo": [0.0, 0.0], "hi": [1.0, 1.0],
+     "weights": [[1.0, 2.0], [0.0, 3]]},
+]
+REGION_CONFIGS = [{"kind": "all"}, {"kind": "box", "lo": [0.0], "hi": [1.0]},
+                  {"kind": "box-complement", "lo": [0.0, -math.inf], "hi": [0.5, 1]}]
+CONSTRUCTORS = {  # each class, and the keyword arguments of a valid instance
+    UniformBox: {"lo": (0.0,), "hi": [1]},
+    GaussianIsotropic: {"mean": [0.0, 1.0], "sigma": 0.5},
+    PiecewiseConstantGrid: {"lo": [0.0], "hi": [1.0], "weights": [1.0, 2.0]},
+    RegionSpec: {"kind": "box", "lo": (0.0,), "hi": (math.inf,)},
+}
+
+
+def numbers_only(value) -> bool:
+    """Whether a value holds ints and floats only, at any depth of lists and tuples."""
+    if isinstance(value, (list, tuple)):
+        return all(numbers_only(entry) for entry in value)
+    return type(value) in (int, float)
+
+
+def returns_an_object_of_numbers_or_refuses(make, fields, kind):
+    try:
+        made = make(fields)
+    except SoftplexError:
+        return
+    assert isinstance(made, kind)
+    assert all(numbers_only(value) for key, value in fields.items()
+               if key != "kind" and value is not None)
+
+
+def redrawn(bases, values):
+    """One of ``bases`` with up to two of its own keys redrawn from ``values``."""
+    return st.sampled_from(bases).flatmap(lambda base: edited([base], dict.fromkeys(base, values)))
+
+
+@settings(max_examples=200)
+@given(config=redrawn(DENSITY_CONFIGS, VECTOR_JSON))
+def test_density_from_config_returns_a_density_or_raises_softplex_error(config):
+    returns_an_object_of_numbers_or_refuses(density_from_config, config, Density)
+
+
+@settings(max_examples=200)
+@given(config=redrawn(REGION_CONFIGS, VECTOR_JSON))
+def test_region_from_config_returns_a_region_or_raises_softplex_error(config):
+    returns_an_object_of_numbers_or_refuses(region_from_config, config, RegionSpec)
+
+
+@settings(max_examples=200)
+@given(make=st.sampled_from(list(CONSTRUCTORS)), data=st.data())
+def test_constructors_return_an_object_or_raise_softplex_error(make, data):
+    values = VECTOR_JSON | st.lists(VECTOR_JSON, max_size=3).map(tuple)
+    kwargs = data.draw(redrawn([CONSTRUCTORS[make]], values))
+    returns_an_object_of_numbers_or_refuses(lambda args: make(**args), kwargs, make)
